@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from fibperm.classes import CLASS_IDS
 from fibperm.cli import main
+from fibperm.stats import STATS, VARIANTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -39,6 +41,7 @@ GOLDEN_CASES = {
         "verify", "--identity", "joint-dist", "--n-max", "5",
         "--format", "json",
     ],
+    "verify_all.json": ["verify", "--n-max", "6", "--format", "json"],
 }
 
 
@@ -50,6 +53,22 @@ def test_golden(name, capsys):
     assert captured.err == ""
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert captured.out == expected
+
+
+def test_golden_dist_formula_all(capsys):
+    # every class x stat x variant of the closed forms at n = 5, one block each
+    blocks = []
+    for class_id in CLASS_IDS:
+        for stat in STATS:
+            for variant in VARIANTS:
+                code = main(["dist", "--class", class_id, "--n", "5", "--stat", stat,
+                             "--source", "formula", "--variant", variant])
+                assert code == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                blocks.append(f"== {class_id} {stat} {variant}\n{captured.out}")
+    expected = (GOLDEN_DIR / "dist_formula_all.txt").read_text(encoding="utf-8")
+    assert "".join(blocks) == expected
 
 
 class TestExitCodes:
