@@ -19,28 +19,40 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .classes import (
-    A_CLASSES,
-    B_CLASSES,
-    _a_core,
-    _b_pre,
-    decompose,
-)
+from .classes import CLASS_IDS, class_spec, decompose
 from .errors import ExcludedTilingError
 from .fib import parse_tiling, perm_to_tiling, tiling_to_perm
 from .perms import Perm
 
-__all__ = ["phi", "phi_inverse", "rho", "rho_inverse"]
+__all__ = ["phi", "phi_inverse", "rho", "rho_inverse", "tiling_bijection",
+           "bijection_domain"]
 
 
-def _check_a_class(class_id: str) -> None:
-    if class_id not in A_CLASSES:
-        raise ValueError(f"phi is defined on {A_CLASSES}; got {class_id!r}")
+def tiling_bijection(class_id: str):
+    """Name, forward map and inverse map of the class's bijection: phi on
+    the A-type classes, rho on the B-type ones.
+
+    >>> tiling_bijection("B2")[0]
+    'rho'
+    """
+    if class_spec(class_id).kind == "A":
+        return "phi", phi, phi_inverse
+    return "rho", rho, rho_inverse
 
 
-def _check_b_class(class_id: str) -> None:
-    if class_id not in B_CLASSES:
-        raise ValueError(f"rho is defined on {B_CLASSES}; got {class_id!r}")
+def bijection_domain(name: str) -> tuple[str, ...]:
+    """The classes the bijection *name* is defined on.
+
+    >>> bijection_domain("phi")
+    ('A1', 'A2')
+    """
+    return tuple(c for c in CLASS_IDS if tiling_bijection(c)[0] == name)
+
+
+def _check_domain(name: str, class_id: str) -> None:
+    if class_id not in CLASS_IDS or tiling_bijection(class_id)[0] != name:
+        domain = bijection_domain(name)
+        raise ValueError(f"{name} is defined on {domain}; got {class_id!r}")
 
 
 def phi(class_id: str, perm: Sequence[int]) -> str:
@@ -51,7 +63,7 @@ def phi(class_id: str, perm: Sequence[int]) -> str:
     >>> phi("A1", (1, 4, 3, 2, 6, 5))
     'dmdd'
     """
-    _check_a_class(class_id)
+    _check_domain("phi", class_id)
     dec = decompose(class_id, perm)
     if not dec.core_present:
         return "m" + perm_to_tiling(dec.tau)
@@ -66,7 +78,7 @@ def phi_inverse(class_id: str, word: str) -> Perm:
     >>> phi_inverse("A2", "dmdd")
     (1, 4, 2, 3, 6, 5)
     """
-    _check_a_class(class_id)
+    _check_domain("phi", class_id)
     w = parse_tiling(word)
     head, rest = w[0], w[1:]
     if head == "m":
@@ -76,13 +88,7 @@ def phi_inverse(class_id: str, word: str) -> Perm:
             f"{w!r} is the one word of its size outside the image of phi"
         )
     i = rest.index("d")  # monominoes before the first domino: the prefix
-    tau = tiling_to_perm(rest[i + 1 :])
-    shift = i + 3
-    return (
-        tuple(range(1, i + 1))
-        + _a_core(class_id, i + 1)
-        + tuple(v + shift for v in tau)
-    )
+    return class_spec(class_id).build(i + 3, tiling_to_perm(rest[i + 1 :]))
 
 
 def rho(class_id: str, perm: Sequence[int]) -> str:
@@ -93,7 +99,7 @@ def rho(class_id: str, perm: Sequence[int]) -> str:
     >>> rho("B2", (2, 3, 1))
     'mmd'
     """
-    _check_b_class(class_id)
+    _check_domain("rho", class_id)
     dec = decompose(class_id, perm)
     return "m" * (dec.pre_len - 1) + "d" + perm_to_tiling(dec.sigma)
 
@@ -106,13 +112,11 @@ def rho_inverse(class_id: str, word: str) -> Perm:
     >>> rho_inverse("B1", "mmddmm")
     (3, 2, 1, 5, 4, 6, 7)
     """
-    _check_b_class(class_id)
+    _check_domain("rho", class_id)
     w = parse_tiling(word)
     if "d" not in w:
         raise ExcludedTilingError(
             f"{w!r} is the one word of its size outside the image of rho"
         )
     k = w.index("d")
-    pre_len = k + 1
-    sigma = tiling_to_perm(w[k + 1 :])
-    return _b_pre(class_id, pre_len) + tuple(v + pre_len for v in sigma)
+    return class_spec(class_id).build(k + 1, tiling_to_perm(w[k + 1 :]))

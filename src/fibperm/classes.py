@@ -23,7 +23,8 @@ into a Fibonacci part plus one exceptional shape:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from math import comb
+from typing import Callable, Sequence
 
 from .errors import (
     InvalidDecompositionError,
@@ -41,29 +42,75 @@ from .perms import (
     standardize,
 )
 
-CLASS_IDS = ("A1", "A2", "B1", "B2")
-A_CLASSES = ("A1", "A2")
-B_CLASSES = ("B1", "B2")
-
 # Structural generation is linear per member but the member lists themselves
 # get large; past this the closed-form count is the supported interface.
 GENERATE_MAX_N = 26
 
-_PATTERNS: dict[str, PatternSet] = {
-    "A1": make_pattern_set([(2, 3, 1), (3, 1, 2), (4, 3, 2, 1), (2, 1, 5, 4, 3)]),
-    "A2": make_pattern_set([(2, 3, 1), (3, 2, 1), (4, 1, 2, 3), (2, 1, 5, 3, 4)]),
-    "B1": make_pattern_set([(2, 3, 1), (3, 1, 2), (1, 4, 3, 2)]),
-    "B2": make_pattern_set([(3, 1, 2), (3, 2, 1), (1, 3, 4, 2)]),
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """Every fact that sets one class apart from the other three.
+
+    ``kind`` is ``"A"`` or ``"B"``.  ``shape(l)`` is the exceptional block:
+    for A-type classes the core on the values {l, l+1, l+2}, for B-type
+    classes the pre-part on the values 1..l.  ``tail_q_exponent(n)`` is the
+    inversion count of the exceptional length-n member, ``head(n)``: the one
+    member the two-step construction of G_n does not reach.
+    """
+
+    class_id: str
+    patterns: PatternSet
+    kind: str
+    shape: Callable[[int], Perm]
+    tail_q_exponent: Callable[[int], int]
+
+    def head(self, length: int) -> Perm:
+        """The exceptional block on the values 1..length: an increasing
+        prefix then the core (A-type), or the whole pre-part (B-type)."""
+        if self.kind == "A":
+            return tuple(range(1, length - 2)) + self.shape(length - 2)
+        return self.shape(length)
+
+    def build(self, head_length: int, tail: Perm) -> Perm:
+        """The member made of ``head(head_length)`` followed by the
+        Fibonacci permutation *tail* shifted onto the top values."""
+        return self.head(head_length) + tuple(v + head_length for v in tail)
+
+
+def _patterns(words: str) -> PatternSet:
+    # "231 312" -> {(2, 3, 1), (3, 1, 2)}; no pattern here exceeds 9 values
+    return make_pattern_set(tuple(map(int, word)) for word in words.split())
+
+
+# class id, avoided patterns, kind, shape, tail q-exponent
+CLASS_SPECS: dict[str, ClassSpec] = {
+    spec.class_id: spec
+    for spec in (
+        ClassSpec("A1", _patterns("231 312 4321 21543"), "A",
+                  lambda low: (low + 2, low + 1, low), lambda n: 3),
+        ClassSpec("A2", _patterns("231 321 4123 21534"), "A",
+                  lambda low: (low + 2, low, low + 1), lambda n: 2),
+        ClassSpec("B1", _patterns("231 312 1432"), "B",
+                  lambda length: tuple(range(length, 0, -1)), lambda n: comb(n, 2)),
+        ClassSpec("B2", _patterns("312 321 1342"), "B",
+                  lambda length: tuple(range(2, length + 1)) + (1,), lambda n: n - 1),
+    )
 }
+CLASS_IDS = tuple(CLASS_SPECS)
+A_CLASSES = tuple(c for c, spec in CLASS_SPECS.items() if spec.kind == "A")
+B_CLASSES = tuple(c for c, spec in CLASS_SPECS.items() if spec.kind == "B")
 
 __all__ = [
     "CLASS_IDS",
     "A_CLASSES",
     "B_CLASSES",
+    "CLASS_SPECS",
     "GENERATE_MAX_N",
     "ADecomposition",
     "BDecomposition",
+    "ClassSpec",
     "check_class_id",
+    "class_spec",
     "patterns_of",
     "count",
     "generate",
@@ -78,9 +125,18 @@ def check_class_id(class_id: str) -> str:
     >>> check_class_id("B2")
     'B2'
     """
-    if class_id not in _PATTERNS:
+    if class_id not in CLASS_SPECS:
         raise ValueError(f"unknown class {class_id!r}; expected one of {CLASS_IDS}")
     return class_id
+
+
+def class_spec(class_id: str) -> ClassSpec:
+    """The table row of a known class.
+
+    >>> class_spec("B2").shape(4)
+    (2, 3, 4, 1)
+    """
+    return CLASS_SPECS[check_class_id(class_id)]
 
 
 def patterns_of(class_id: str) -> PatternSet:
@@ -89,7 +145,7 @@ def patterns_of(class_id: str) -> PatternSet:
     >>> sorted(patterns_of("B1"))
     [(1, 4, 3, 2), (2, 3, 1), (3, 1, 2)]
     """
-    return _PATTERNS[check_class_id(class_id)]
+    return class_spec(class_id).patterns
 
 
 def count(class_id: str, n: int) -> int:
@@ -129,25 +185,6 @@ class BDecomposition:
     sigma: Perm
 
 
-def _a_core(class_id: str, low: int) -> Perm:
-    # The three-value block on {low, low+1, low+2}.
-    if class_id == "A1":
-        return (low + 2, low + 1, low)
-    return (low + 2, low, low + 1)
-
-
-def _b_pre(class_id: str, length: int) -> Perm:
-    # The pre-part on values 1..length (length >= 3 is the exceptional shape;
-    # 1 and 2 coincide with Fibonacci blocks).
-    if length == 1:
-        return (1,)
-    if length == 2:
-        return (2, 1)
-    if class_id == "B1":
-        return tuple(range(length, 0, -1))
-    return tuple(range(2, length + 1)) + (1,)
-
-
 def generate(class_id: str, n: int) -> list[Perm]:
     """All members of length n, lexicographically.
 
@@ -156,25 +193,16 @@ def generate(class_id: str, n: int) -> list[Perm]:
     >>> len(generate("A1", 4))
     7
     """
-    check_class_id(class_id)
+    spec = class_spec(class_id)
     if n < 0:
         raise UnsupportedLengthError(f"length {n} is negative")
     if n > GENERATE_MAX_N:
         raise SizeLimitError(f"generation is capped at n = {GENERATE_MAX_N}; got {n}")
     members: list[Perm] = list(fib_permutations(n))
-    if class_id in A_CLASSES:
-        for tau_len in range(0, n - 2):
-            incr_len = n - tau_len - 3
-            prefix = tuple(range(1, incr_len + 1))
-            core = _a_core(class_id, incr_len + 1)
-            shift = incr_len + 3
-            for tau in fib_permutations(tau_len):
-                members.append(prefix + core + tuple(v + shift for v in tau))
-    else:
-        for pre_len in range(3, n + 1):
-            pre = _b_pre(class_id, pre_len)
-            for sigma in fib_permutations(n - pre_len):
-                members.append(pre + tuple(v + pre_len for v in sigma))
+    for head_length in range(3, n + 1):
+        head = spec.head(head_length)
+        for tail in fib_permutations(n - head_length):
+            members.append(head + tuple(v + head_length for v in tail))
     members.sort()
     return members
 
@@ -188,43 +216,29 @@ def decompose(class_id: str, perm: Sequence[int]):
     >>> decompose("B1", (3, 2, 1, 5, 4, 6, 7))
     BDecomposition(pre_len=3, sigma=(2, 1, 3, 4))
     """
-    check_class_id(class_id)
+    spec = class_spec(class_id)
     p = make_permutation(perm)
-    if not avoids_all(p, _PATTERNS[class_id]):
+    if not avoids_all(p, spec.patterns):
         raise NotInClassError(f"{p} contains a forbidden pattern of {class_id}")
-    if class_id in A_CLASSES:
+    if spec.kind == "A":
         if is_fibonacci(p):
             return ADecomposition(incr_len=0, core_present=False, tau=p)
-        pos = _a_core_position(class_id, p)
-        if pos is None:
+        # the core is the first window of three consecutive values in shape
+        windows = (p[j : j + 3] for j in range(len(p) - 2))
+        core_at = next((j for j, w in enumerate(windows) if w == spec.shape(min(w))), None)
+        if core_at is None:
             raise NotInClassError(f"{p} has no {class_id} core")
-        prefix, tail = p[:pos], p[pos + 3 :]
-        tau = standardize(tail)
-        if prefix != tuple(range(1, pos + 1)) or not is_fibonacci(tau):
-            raise NotInClassError(f"{p} does not fit the {class_id} shape")
-        if tail and min(tail) != pos + 4:
-            # the core must sit on the three values right above the prefix
-            raise NotInClassError(f"{p} does not fit the {class_id} shape")
-        return ADecomposition(incr_len=pos, core_present=True, tau=tau)
-    if not p:
+        head_length = core_at + 3
+    elif not p:
         raise UnsupportedLengthError("the empty permutation has no pre-part")
-    pre_len = p.index(1) + 1
-    pre, tail = p[:pre_len], p[pre_len:]
-    sigma = standardize(tail)
-    if pre != _b_pre(class_id, pre_len) or not is_fibonacci(sigma):
+    else:
+        head_length = p.index(1) + 1
+    tail = standardize(p[head_length:])
+    if p[:head_length] != spec.head(head_length) or not is_fibonacci(tail):
         raise NotInClassError(f"{p} does not fit the {class_id} shape")
-    return BDecomposition(pre_len=pre_len, sigma=sigma)
-
-
-def _a_core_position(class_id: str, p: Perm) -> int | None:
-    for j in range(len(p) - 2):
-        a, b, c = p[j : j + 3]
-        if class_id == "A1":
-            if a == b + 1 == c + 2:
-                return j
-        elif a == c + 1 == b + 2:
-            return j
-    return None
+    if spec.kind == "A":
+        return ADecomposition(incr_len=core_at, core_present=True, tau=tail)
+    return BDecomposition(pre_len=head_length, sigma=tail)
 
 
 def compose(class_id: str, decomposition) -> Perm:
@@ -235,37 +249,31 @@ def compose(class_id: str, decomposition) -> Perm:
     >>> compose("B1", BDecomposition(pre_len=3, sigma=(2, 1, 3, 4)))
     (3, 2, 1, 5, 4, 6, 7)
     """
-    check_class_id(class_id)
-    if class_id in A_CLASSES:
+    spec = class_spec(class_id)
+    if spec.kind == "A":
         if not isinstance(decomposition, ADecomposition):
             raise InvalidDecompositionError(
                 f"{class_id} needs an ADecomposition, got {type(decomposition).__name__}"
             )
-        tau = make_permutation(decomposition.tau)
-        if not is_fibonacci(tau):
-            raise InvalidDecompositionError(f"tau {tau} is not a Fibonacci permutation")
+        tail = make_permutation(decomposition.tau)
+        if not is_fibonacci(tail):
+            raise InvalidDecompositionError(f"tau {tail} is not a Fibonacci permutation")
         if not decomposition.core_present:
             if decomposition.incr_len != 0:
                 raise InvalidDecompositionError(
                     "a coreless record is all tau; incr_len must be 0"
                 )
-            return tau
-        incr_len = decomposition.incr_len
-        if incr_len < 0:
-            raise InvalidDecompositionError(f"incr_len {incr_len} is negative")
-        prefix = tuple(range(1, incr_len + 1))
-        shift = incr_len + 3
-        return prefix + _a_core(class_id, incr_len + 1) + tuple(
-            v + shift for v in tau
-        )
+            return tail
+        if decomposition.incr_len < 0:
+            raise InvalidDecompositionError(f"incr_len {decomposition.incr_len} is negative")
+        return spec.build(decomposition.incr_len + 3, tail)
     if not isinstance(decomposition, BDecomposition):
         raise InvalidDecompositionError(
             f"{class_id} needs a BDecomposition, got {type(decomposition).__name__}"
         )
-    sigma = make_permutation(decomposition.sigma)
-    if not is_fibonacci(sigma):
-        raise InvalidDecompositionError(f"sigma {sigma} is not a Fibonacci permutation")
-    pre_len = decomposition.pre_len
-    if pre_len < 1:
-        raise InvalidDecompositionError(f"pre_len {pre_len} must be at least 1")
-    return _b_pre(class_id, pre_len) + tuple(v + pre_len for v in sigma)
+    tail = make_permutation(decomposition.sigma)
+    if not is_fibonacci(tail):
+        raise InvalidDecompositionError(f"sigma {tail} is not a Fibonacci permutation")
+    if decomposition.pre_len < 1:
+        raise InvalidDecompositionError(f"pre_len {decomposition.pre_len} must be at least 1")
+    return spec.build(decomposition.pre_len, tail)

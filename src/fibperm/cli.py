@@ -15,25 +15,16 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from math import comb
 from typing import Optional, Sequence
 
 from . import __version__
-from .classes import CLASS_IDS, A_CLASSES, count, generate
-from .bijections import phi, phi_inverse, rho, rho_inverse
+from .classes import CLASS_IDS, count, generate
+from .bijections import bijection_domain, tiling_bijection
 from .errors import DomainError, SizeLimitError
 from .fib import fib_number, parse_tiling
 from .genfun import genfun_closed, genfun_oracle, genfun_recurrence
 from .perms import format_permutation, parse_permutation
-from .stats import (
-    STATS,
-    VARIANTS,
-    distribution_oracle,
-    fib_distribution_formula,
-    fib_distribution_stated,
-    inv_distribution_formula,
-    joint_distribution_formula,
-)
+from .stats import STATS, VARIANTS, distribution_formula, distribution_oracle
 from .verify import (
     IDENTITY_IDS,
     render_markdown,
@@ -74,23 +65,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
+    def finish(p: argparse.ArgumentParser, func) -> None:
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
             help="output format (default text)",
         )
+        p.set_defaults(func=func)
 
     p_count = sub.add_parser("count", help="closed-form member counts")
     p_count.add_argument("--class", dest="class_id", choices=CLASS_IDS, required=True)
     p_count.add_argument("--n-max", type=_positive_int, required=True)
-    add_format(p_count)
-    p_count.set_defaults(func=cmd_count)
+    finish(p_count, cmd_count)
 
     p_enum = sub.add_parser("enumerate", help="list all members of one length")
     p_enum.add_argument("--class", dest="class_id", choices=CLASS_IDS, required=True)
     p_enum.add_argument("--n", type=_nonneg_int, required=True)
-    add_format(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate)
+    finish(p_enum, cmd_enumerate)
 
     p_dist = sub.add_parser("dist", help="statistic distributions")
     p_dist.add_argument("--class", dest="class_id", choices=CLASS_IDS, required=True)
@@ -105,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="formula variant (closed forms only; 'paper' is the form as "
         "originally stated)",
     )
-    add_format(p_dist)
-    p_dist.set_defaults(func=cmd_dist)
+    finish(p_dist, cmd_dist)
 
     p_gen = sub.add_parser("genfun", help="generating polynomial G_n(v, q)")
     p_gen.add_argument("--class", dest="class_id", choices=CLASS_IDS, required=True)
@@ -118,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", choices=VARIANTS, default="corrected",
         help="summation-formula variant (--method closed only)",
     )
-    add_format(p_gen)
-    p_gen.set_defaults(func=cmd_genfun)
+    finish(p_gen, cmd_genfun)
 
     p_map = sub.add_parser("map", help="apply a tiling bijection")
     p_map.add_argument("--bijection", choices=("phi", "rho"), required=True)
@@ -129,13 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument(
         "--inverse", action="store_true", help="decode a tiling word instead"
     )
-    add_format(p_map)
-    p_map.set_defaults(func=cmd_map)
+    finish(p_map, cmd_map)
 
     p_fib = sub.add_parser("fib", help="Fibonacci numbers, F(0) = F(1) = 1")
     p_fib.add_argument("--n", type=_nonneg_int, required=True)
-    add_format(p_fib)
-    p_fib.set_defaults(func=cmd_fib)
+    finish(p_fib, cmd_fib)
 
     p_verify = sub.add_parser("verify", help="run the identity checks")
     p_verify.add_argument(
@@ -157,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="include a UTC timestamp in the report (off by default so "
         "output is byte-deterministic)",
     )
-    add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    finish(p_verify, cmd_verify)
 
     return parser
 
@@ -194,37 +179,13 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _formula_distribution(class_id: str, n: int, stat: str, variant: str) -> dict:
-    # nonzero values of the closed form, keyed like the oracle
-    out: dict = {}
-    if stat == "inv":
-        for k in range(0, comb(n, 2) + 1):
-            value = inv_distribution_formula(class_id, n, k)
-            if value:
-                out[k] = value
-    elif stat == "fib":
-        for k in range(0, n + 1):
-            if variant == "paper":
-                value = fib_distribution_stated(n, k)
-            else:
-                value = fib_distribution_formula(class_id, n, k)
-            if value:
-                out[k] = value
-    else:
-        for k in range(0, n + 1):
-            for j in range(0, comb(n, 2) + 1):
-                value = joint_distribution_formula(class_id, n, k, j, variant)
-                if value:
-                    out[(k, j)] = value
-    return out
-
-
 def cmd_dist(args) -> int:
     if args.source == "oracle":
         dist = distribution_oracle(args.class_id, args.n, args.stat)
         variant: Optional[str] = None
     else:
-        dist = _formula_distribution(args.class_id, args.n, args.stat, args.variant)
+        pairs = distribution_formula(args.class_id, args.n, args.stat, args.variant)
+        dist = {key: value for key, value in pairs if value}
         variant = args.variant
     if args.format == "json":
         if args.stat == "joint":
@@ -253,15 +214,13 @@ def cmd_dist(args) -> int:
 
 
 def cmd_genfun(args) -> int:
+    variant = args.variant if args.method == "closed" else None
     if args.method == "oracle":
         poly = genfun_oracle(args.class_id, args.n)
-        variant: Optional[str] = None
     elif args.method == "recurrence":
         poly = genfun_recurrence(args.class_id, args.n)
-        variant = None
     else:
-        poly = genfun_closed(args.class_id, args.n, args.variant)
-        variant = args.variant
+        poly = genfun_closed(args.class_id, args.n, variant)
     if args.format == "json":
         _emit_json(
             {
@@ -282,16 +241,14 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_map(args) -> int:
-    a_type = args.class_id in A_CLASSES
-    if (args.bijection == "phi") != a_type:
-        which = "A1/A2" if args.bijection == "phi" else "B1/B2"
+    domain = bijection_domain(args.bijection)
+    if args.class_id not in domain:
         print(
-            f"error: {args.bijection} applies to {which}, not {args.class_id}",
+            f"error: {args.bijection} applies to {'/'.join(domain)}, not {args.class_id}",
             file=sys.stderr,
         )
         return 2
-    forward = phi if a_type else rho
-    inverse = phi_inverse if a_type else rho_inverse
+    _, forward, inverse = tiling_bijection(args.class_id)
     if args.inverse:
         if args.tiling is None or args.perm is not None:
             print("error: --inverse needs --tiling (and no --perm)", file=sys.stderr)
@@ -370,12 +327,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except SizeLimitError as exc:
+    except (SizeLimitError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, SizeLimitError) else 4
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, Union
 
-from .classes import check_class_id, generate
+from .classes import class_spec, generate
 from .errors import NotEvaluableError, UnsupportedLengthError
 from .fib import fib_stat
 from .perms import inversions
@@ -180,43 +180,25 @@ def genfun_oracle(class_id: str, n: int) -> Poly:
     )
 
 
-def _tail_q_exponent(class_id: str, n: int) -> int:
-    # Inversions of the one length-n member outside the image of the
-    # two-step construction: the all-descending / rotated pre-part shapes.
-    if class_id == "A1":
-        return 3
-    if class_id == "A2":
-        return 2
-    if class_id == "B1":
-        return comb(n, 2)
-    return n - 1
-
-
 def genfun_closed(class_id: str, n: int, variant: str = "corrected") -> Poly:
     """G_n by the summation formula v^n F_n(q) + sum_{j=0}^{n-3} q^e(j) v^j
-    F_j(q), defined for n >= 3.  The B1/B2 exponent e(j) differs between
-    variants; a variant calling for a negative exponent raises
-    NotEvaluableError.
+    F_j(q), defined for n >= 3.  The corrected exponent e(j) is the tail
+    q-exponent at n - j, the length of the j-th summand's exceptional head;
+    the paper variant takes it at j, which differs for B1 and B2.  A variant
+    calling for a negative exponent raises NotEvaluableError.
 
     >>> genfun_closed("A1", 4) == genfun_oracle("A1", 4)
     True
     >>> str(genfun_closed("B2", 3))
     '1*q^2 + 1*v^3 + 2*v^3*q'
     """
-    check_class_id(class_id)
+    spec = class_spec(class_id)
     check_variant(variant)
     if n < 3:
         raise UnsupportedLengthError(f"the summation formula needs n >= 3; got {n}")
     total = _vpow(n) * fib_poly(n)
     for j in range(n - 2):
-        if class_id == "A1":
-            q_exp = 3
-        elif class_id == "A2":
-            q_exp = 2
-        elif class_id == "B1":
-            q_exp = comb(j, 2) if variant == "paper" else comb(n - j, 2)
-        else:
-            q_exp = j - 1 if variant == "paper" else n - j - 1
+        q_exp = spec.tail_q_exponent(j if variant == "paper" else n - j)
         if q_exp < 0:
             raise NotEvaluableError(
                 f"{class_id} {variant} summation at n = {n}: "
@@ -234,7 +216,7 @@ def genfun_recurrence(class_id: str, n: int) -> Poly:
     >>> genfun_recurrence("B1", 4) == genfun_oracle("B1", 4)
     True
     """
-    check_class_id(class_id)
+    spec = class_spec(class_id)
     if n < 1:
         raise UnsupportedLengthError(f"the recurrence starts at n = 1; got {n}")
     g_prev = V
@@ -242,7 +224,7 @@ def genfun_recurrence(class_id: str, n: int) -> Poly:
     if n == 1:
         return g_prev
     for k in range(3, n + 1):
-        head = _qpow(_tail_q_exponent(class_id, k))
+        head = _qpow(spec.tail_q_exponent(k))
         g_prev, g_cur = g_cur, head + V * g_cur + Q * V * V * g_prev
     return g_cur
 
@@ -258,7 +240,7 @@ def genfun_addition(
     >>> genfun_addition("A1", 2, 2) == genfun_oracle("A1", 4)
     True
     """
-    check_class_id(class_id)
+    spec = class_spec(class_id)
     check_variant(variant)
     if m < 2 or n < 2:
         raise UnsupportedLengthError(
@@ -273,8 +255,8 @@ def genfun_addition(
     main = _vpow(n) * g_m * f_n
     straddle_v = n + 2 if variant == "paper" else n + 1
     straddle = Q * _vpow(straddle_v) * g_m1 * f_n1
-    if class_id in ("A1", "A2"):
-        q_exp = 3 if class_id == "A1" else 2
+    if spec.kind == "A":
+        q_exp = spec.tail_q_exponent(n)  # the core's inversions, whatever n
         return (
             main
             + straddle

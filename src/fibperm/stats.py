@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb
-from typing import Union
+from typing import Iterator, Union
 
-from .classes import check_class_id, generate
+from .classes import check_class_id, class_spec, generate
 from .errors import UnsupportedLengthError
 from .fib import fib_number, fib_stat
 from .perms import inversions
@@ -33,6 +33,7 @@ __all__ = [
     "fib_distribution_formula",
     "fib_distribution_stated",
     "joint_distribution_formula",
+    "distribution_formula",
     "distribution_oracle",
 ]
 
@@ -160,7 +161,10 @@ def joint_distribution_formula(
     class_id: str, n: int, k: int, j: int, variant: str = "corrected"
 ) -> int:
     """Number of length-n members with Fibonacci-suffix statistic k and j
-    inversions.  Only the B2 binomial differs between variants.
+    inversions.  Below the impossible band a member is an exceptional head
+    of length n - k carrying e = tail_q_exponent(n - k) inversions, then a
+    Fibonacci tail with j - e dominoes, so the count is C(k-j+e, j-e).  Only
+    the stated B2 binomial differs from that.
 
     >>> joint_distribution_formula("A1", 6, 3, 3)
     1
@@ -171,7 +175,7 @@ def joint_distribution_formula(
     >>> joint_distribution_formula("B2", 5, 2, 3, variant="corrected")
     1
     """
-    check_class_id(class_id)
+    spec = class_spec(class_id)
     check_variant(variant)
     if n < 1:
         raise UnsupportedLengthError(f"the closed forms need n >= 1; got {n}")
@@ -181,19 +185,43 @@ def joint_distribution_formula(
         return binomial(k - j, j)
     if k >= n - 2:
         return 0
-    if class_id == "A1":
-        return binomial(k - j + 3, j - 3)
-    if class_id == "A2":
-        return binomial(k - j + 2, j - 2)
-    if class_id == "B1":
-        pre_inversions = comb(n - k, 2)
-        return binomial(k - j + pre_inversions, j - pre_inversions)
-    if variant == "paper":
+    if class_id == "B2" and variant == "paper":
         return binomial(2 * k + j + 1 - n, j + k + 1 - n)
-    return binomial(n - j - 1, j + k + 1 - n)
+    e = spec.tail_q_exponent(n - k)
+    return binomial(k - j + e, j - e)
 
 
 DistKey = Union[int, tuple[int, int]]
+
+
+def distribution_formula(
+    class_id: str, n: int, stat: str, variant: str = "corrected", inv_margin: int = 0
+) -> Iterator[tuple[DistKey, int]]:
+    """Closed-form distribution as lazy (key, value) pairs, zeros included,
+    keyed like the oracle.  Inversion counts run over 0..C(n,2)+inv_margin
+    and the statistic over 0..n.  The 'paper' variant evaluates the stated
+    forms: F(k) with no impossible band for the statistic, and the stated
+    B2 joint binomial.
+
+    >>> dict(distribution_formula("A1", 4, "inv"))
+    {0: 1, 1: 3, 2: 1, 3: 2, 4: 0, 5: 0, 6: 0}
+    >>> [v for _, v in distribution_formula("B1", 1, "fib", "paper")]
+    [1, 1]
+    """
+    check_stat(stat)
+    check_variant(variant)
+    inv_keys = range(0, comb(n, 2) + inv_margin + 1)
+    if stat == "inv":
+        return ((k, inv_distribution_formula(class_id, n, k)) for k in inv_keys)
+    if stat == "fib" and variant == "paper":
+        return ((k, fib_distribution_stated(n, k)) for k in range(0, n + 1))
+    if stat == "fib":
+        return ((k, fib_distribution_formula(class_id, n, k)) for k in range(0, n + 1))
+    return (
+        ((k, j), joint_distribution_formula(class_id, n, k, j, variant))
+        for k in range(0, n + 1)
+        for j in inv_keys
+    )
 
 
 def distribution_oracle(class_id: str, n: int, stat: str) -> dict[DistKey, int]:

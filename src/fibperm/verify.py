@@ -2,11 +2,13 @@
 
 Thirteen identity families are registered, each checked over a parameter
 range against independently computed ground truth (enumeration, brute-force
-filtering, or a second derivation route).  Every identity evaluates under
-one or both variants: ``paper`` is the identity exactly as originally
-stated, ``corrected`` the repaired form where the stated one fails.  The
-corrections registry records each repair with its reason and a concrete
-counterexample.
+filtering, or a second derivation route).  A family is a lazy stream of
+cases (parameters, truth, formula, note); one engine, ``_run_cases``, reads
+a stream up to its first mismatch and turns it into a report.  Every
+identity evaluates under one or both variants: ``paper`` is the identity
+exactly as originally stated, ``corrected`` the repaired form where the
+stated one fails.  The corrections registry records each repair with its
+reason and a concrete counterexample.
 
 A verification run is *resolved* when every (identity, class) unit passes
 in at least one evaluated variant and every correction entry that was
@@ -19,19 +21,19 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, Iterator, Optional
 
-from .bijections import phi, phi_inverse, rho, rho_inverse
+from .bijections import tiling_bijection
 from .classes import (
-    A_CLASSES,
-    B_CLASSES,
     CLASS_IDS,
+    CLASS_SPECS,
     GENERATE_MAX_N,
     check_class_id,
+    class_spec,
     compose,
     count,
     decompose,
@@ -44,14 +46,12 @@ from .errors import (
     NotInClassError,
     UnknownIdentityError,
 )
-from .fib import fib_number, fib_permutations, fib_stat, tilings
+from .fib import fib_number, fib_permutations, tilings
 from .genfun import (
     ONE,
     Q,
     V,
     Poly,
-    _tail_q_exponent,
-    fib_poly,
     genfun_addition,
     genfun_closed,
     genfun_oracle,
@@ -62,12 +62,10 @@ from .stats import (
     VARIANTS,
     binomial,
     check_variant,
+    distribution_formula,
     distribution_oracle,
-    fib_distribution_formula,
-    fib_distribution_stated,
     fib_inv_count,
     inv_distribution_formula,
-    joint_distribution_formula,
 )
 
 __all__ = [
@@ -83,12 +81,16 @@ __all__ = [
     "to_json_doc",
 ]
 
-# Checkers above these bounds would enumerate beyond the module caps.
+# Families above these bounds would enumerate beyond the module caps.
 _BIJECTION_MAX_N = 12
 _SCALAR_MIN_RANGE = 30
 _FIB_ENUM_MAX_N = 16
+# The *-dist families check this far past the largest inversion count C(n,2).
+_INV_MARGIN = 2
 
-CheckOutcome = tuple[str, str, Optional[dict], str]
+# One comparison: (parameters, truth, formula, note on failure).  ``truth``
+# is the enumerated or recomputed side and is reported as ``lhs``.
+Case = tuple[dict, object, object, str]
 
 
 @dataclass(frozen=True)
@@ -124,60 +126,81 @@ class Correction:
     counterexample: str
 
 
-def _mismatch(parameters: dict, lhs: int, rhs: int, exponent=None) -> dict:
-    out: dict = {"parameters": parameters}
-    if exponent is not None:
-        out["exponent"] = {"v": exponent[0], "q": exponent[1]}
-    out["lhs"] = lhs
-    out["rhs"] = rhs
-    return out
+def _difference(truth, formula):
+    """``(exponent, lhs, rhs)`` where two unequal sides first differ.
+
+    Polynomials are compared coefficient by coefficient from the smallest
+    exponent (v, q).  Member lists and word sets are reported by size.
+    """
+    if isinstance(truth, Poly):
+        exponents = sorted(
+            {e for e, _ in truth.terms()} | {e for e, _ in formula.terms()}
+        )
+        for e in exponents:
+            lhs, rhs = truth.coefficient(*e), formula.coefficient(*e)
+            if lhs != rhs:
+                return e, lhs, rhs
+    if isinstance(truth, (list, set)):
+        return None, len(truth), len(formula)
+    return None, truth, formula
 
 
-def _poly_first_mismatch(truth: Poly, formula: Poly):
-    """Smallest exponent (v, q) where the coefficients differ, or None."""
-    exponents = sorted(
-        {e for e, _ in truth.terms()} | {e for e, _ in formula.terms()}
+def _run_cases(cases: Iterator[Case]) -> tuple[str, Optional[dict], str]:
+    """Status, first mismatch and failure note of a case stream.  The stream
+    is consumed only up to its first mismatch."""
+    try:
+        for parameters, truth, formula, note in cases:
+            if truth != formula:
+                exponent, lhs, rhs = _difference(truth, formula)
+                mismatch: dict = {"parameters": parameters}
+                if exponent is not None:
+                    mismatch["exponent"] = {"v": exponent[0], "q": exponent[1]}
+                mismatch.update(lhs=lhs, rhs=rhs)
+                return "fail", mismatch, note
+    except NotEvaluableError as exc:
+        return "not-evaluable", None, str(exc)
+    return "pass", None, ""
+
+
+def _bounds(class_id, variant, n_max, m_max) -> SimpleNamespace:
+    """Every bound the case streams and the range strings use."""
+    n_gen = min(n_max, GENERATE_MAX_N)
+    n_scalar = max(_SCALAR_MIN_RANGE, n_max)
+    n_add = max(n_max, 2)
+    return SimpleNamespace(
+        n_gen=n_gen,
+        n_brute=min(n_gen, BRUTE_FORCE_MAX_N),
+        n_bij=min(n_max, _BIJECTION_MAX_N),
+        n_gf=min(max(n_max, 3), GENERATE_MAX_N),
+        n_scalar=n_scalar,
+        n_fib_enum=min(n_scalar, _FIB_ENUM_MAX_N),
+        n_add=n_add,
+        m_add=max(n_add if m_max is None else m_max, 2),
+        mn_max=GENERATE_MAX_N,
+        # the stated forms: eq1 sums from k = 1, the G_n recurrence holds from n = 2
+        sum_start=1 if variant == "paper" else 0,
+        rec_start=2 if variant == "paper" else 3,
+        bijection=tiling_bijection(class_id)[0] if class_id else None,
     )
-    for e in exponents:
-        lhs, rhs = truth.coefficient(*e), formula.coefficient(*e)
-        if lhs != rhs:
-            return e, lhs, rhs
-    return None
 
 
 # ---------------------------------------------------------------------------
-# per-class checkers
+# case streams, one per family: (class_id, variant, bounds) -> cases
+
+_BRUTE_NOTE = "structural generator disagrees with the brute-force filter"
 
 
-def _check_counts(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = min(n_max, GENERATE_MAX_N)
-    brute_hi = min(n_hi, BRUTE_FORCE_MAX_N)
-    rng = f"1 <= n <= {n_hi}"
-    for n in range(1, n_hi + 1):
+def _counts_cases(class_id, variant, b) -> Iterator[Case]:
+    for n in range(1, b.n_gen + 1):
         members = generate(class_id, n)
-        expected = count(class_id, n)
-        if len(members) != expected:
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, len(members), expected),
-                "closed-form count disagrees with the structural generator",
-            )
-        if n <= brute_hi:
-            filtered = brute_force_av(n, patterns_of(class_id))
-            if filtered != members:
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"n": n}, len(filtered), len(members)),
-                    "structural generator disagrees with the brute-force filter",
-                )
-    return (
-        "pass",
-        rng,
-        None,
-        f"count == |generate| throughout; brute-force cross-check to n = {brute_hi}",
-    )
+        yield (
+            {"n": n},
+            len(members),
+            count(class_id, n),
+            "closed-form count disagrees with the structural generator",
+        )
+        if n <= b.n_brute:
+            yield {"n": n}, brute_force_av(n, patterns_of(class_id)), members, _BRUTE_NOTE
 
 
 @lru_cache(maxsize=None)
@@ -186,9 +209,7 @@ def _first_undecomposable_nonmember(class_id: str, n: int):
     # strided (deterministic) sampling above 6.
     members = set(generate(class_id, n))
     stride = 1 if n <= 6 else 97
-    for idx, p in enumerate(itertools.permutations(range(1, n + 1))):
-        if idx % stride:
-            continue
+    for p in itertools.islice(itertools.permutations(range(1, n + 1)), 0, None, stride):
         if p in members:
             continue
         try:
@@ -199,352 +220,171 @@ def _first_undecomposable_nonmember(class_id: str, n: int):
     return None
 
 
-def _check_structure(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = min(n_max, BRUTE_FORCE_MAX_N)
-    rng = f"0 <= n <= {n_hi}"
-    for n in range(0, n_hi + 1):
+def _structure_cases(class_id, variant, b) -> Iterator[Case]:
+    # the empty B-type member has no pre-part to parse
+    skip_empty = class_spec(class_id).kind == "B"
+    for n in range(0, b.n_brute + 1):
         members = generate(class_id, n)
-        filtered = brute_force_av(n, patterns_of(class_id))
-        if members != filtered:
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, len(filtered), len(members)),
-                "structural generator disagrees with the brute-force filter",
-            )
+        yield {"n": n}, brute_force_av(n, patterns_of(class_id)), members, _BRUTE_NOTE
         for p in members:
-            if not p and class_id in B_CLASSES:
-                continue  # the empty member has no pre-part to parse
-            if compose(class_id, decompose(class_id, p)) != p:
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"n": n}, 1, 0),
-                    f"decompose/compose round-trip failed on {p}",
+            if p or not skip_empty:
+                rebuilt = compose(class_id, decompose(class_id, p))
+                yield {"n": n}, 1, int(rebuilt == p), (
+                    f"decompose/compose round-trip failed on {p}"
                 )
         bad = _first_undecomposable_nonmember(class_id, n)
-        if bad is not None:
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, 0, 1),
-                f"non-member {bad} was not rejected by decompose",
-            )
-    return (
-        "pass",
-        rng,
-        None,
-        "membership by patterns == membership by shape; all members round-trip",
-    )
+        yield {"n": n}, 0, int(bad is not None), (
+            f"non-member {bad} was not rejected by decompose"
+        )
 
 
-def _check_bijection(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = min(n_max, _BIJECTION_MAX_N)
-    rng = f"1 <= n <= {n_hi}"
-    a_type = class_id in A_CLASSES
-    forward = phi if a_type else rho
-    inverse = phi_inverse if a_type else rho_inverse
-    for n in range(1, n_hi + 1):
+def _decodes(inverse, class_id: str, word: str) -> bool:
+    try:
+        inverse(class_id, word)
+    except ExcludedTilingError:
+        return False
+    return True
+
+
+def _bijection_cases(class_id, variant, b) -> Iterator[Case]:
+    _, forward, inverse = tiling_bijection(class_id)
+    for n in range(1, b.n_bij + 1):
         members = generate(class_id, n)
         words = set(tilings(n + 1))
-        excluded = ("d" + "m" * (n - 1)) if a_type else ("m" * (n + 1))
+        excluded = ("d" + "m" * (n - 1)) if b.bijection == "phi" else ("m" * (n + 1))
         image = set()
         for p in members:
+            # round trips make the map injective; the image is then checked as a set
             w = forward(class_id, p)
-            if inverse(class_id, w) != p:
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"n": n}, 1, 0),
-                    f"round-trip failed on {p} (word {w!r})",
-                )
+            yield {"n": n}, 1, int(inverse(class_id, w) == p), (
+                f"round-trip failed on {p} (word {w!r})"
+            )
             image.add(w)
-        if len(image) != len(members):
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, len(members), len(image)),
-                "the map is not injective",
-            )
-        if image != words - {excluded}:
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, len(words) - 1, len(image)),
-                f"image differs from all words minus {excluded!r}",
-            )
-        try:
-            inverse(class_id, excluded)
-        except ExcludedTilingError:
-            pass
-        else:
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, 0, 1),
-                f"excluded word {excluded!r} unexpectedly decoded",
-            )
-    name = "phi" if a_type else "rho"
-    return (
-        "pass",
-        rng,
-        None,
-        f"{name} bijects members with the (n+1)-cell words minus one excluded word",
-    )
-
-
-def _check_inv_dist(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = min(n_max, GENERATE_MAX_N)
-    rng = f"1 <= n <= {n_hi}"
-    for n in range(1, n_hi + 1):
-        oracle = distribution_oracle(class_id, n, "inv")
-        for k in range(0, comb(n, 2) + 3):
-            lhs = oracle.get(k, 0)
-            rhs = inv_distribution_formula(class_id, n, k)
-            if lhs != rhs:
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"n": n, "k": k}, lhs, rhs),
-                    "closed form disagrees with enumeration",
-                )
-    return ("pass", rng, None, "closed form matches enumeration at every k")
-
-
-def _check_fib_dist(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = min(n_max, GENERATE_MAX_N)
-    rng = f"1 <= n <= {n_hi}, 0 <= k <= n"
-    for n in range(1, n_hi + 1):
-        oracle = distribution_oracle(class_id, n, "fib")
-        for k in range(0, n + 1):
-            lhs = oracle.get(k, 0)
-            if variant == "paper":
-                rhs = fib_distribution_stated(n, k)
-            else:
-                rhs = fib_distribution_formula(class_id, n, k)
-            if lhs != rhs:
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"n": n, "k": k}, lhs, rhs),
-                    "no member can leave a Fibonacci suffix of length n-1 or n-2",
-                )
-    return (
-        "pass",
-        rng,
-        None,
-        "F(k) for k <= n-3, 0 on the impossible band {n-2, n-1}, F(n) at k = n",
-    )
-
-
-def _check_joint_dist(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = min(n_max, GENERATE_MAX_N)
-    rng = f"1 <= n <= {n_hi}, 0 <= k <= n, 0 <= j <= C(n,2)+2"
-    for n in range(1, n_hi + 1):
-        oracle = distribution_oracle(class_id, n, "joint")
-        for k in range(0, n + 1):
-            for j in range(0, comb(n, 2) + 3):
-                lhs = oracle.get((k, j), 0)
-                rhs = joint_distribution_formula(class_id, n, k, j, variant)
-                if lhs != rhs:
-                    return (
-                        "fail",
-                        rng,
-                        _mismatch({"n": n, "k": k, "j": j}, lhs, rhs),
-                        "closed form disagrees with enumeration",
-                    )
-    return ("pass", rng, None, "closed form matches enumeration at every (k, j)")
-
-
-def _check_gf_closed(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = min(max(n_max, 3), GENERATE_MAX_N)
-    rng = f"3 <= n <= {n_hi}"
-    for n in range(3, n_hi + 1):
-        truth = genfun_oracle(class_id, n)
-        try:
-            formula = genfun_closed(class_id, n, variant)
-        except NotEvaluableError as exc:
-            return ("not-evaluable", rng, None, str(exc))
-        found = _poly_first_mismatch(truth, formula)
-        if found:
-            e, lhs, rhs = found
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, lhs, rhs, exponent=e),
-                "summation formula disagrees with enumeration",
-            )
-    return ("pass", rng, None, "summation formula matches enumeration")
-
-
-def _check_gf_recurrence(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = min(max(n_max, 3), GENERATE_MAX_N)
-    start = 2 if variant == "paper" else 3
-    rng = f"bases n = 1, 2; instances {start} <= n <= {n_hi}"
-    for n in (1, 2):
-        found = _poly_first_mismatch(
-            genfun_oracle(class_id, n), genfun_recurrence(class_id, n)
+        yield {"n": n}, words - {excluded}, image, (
+            f"image differs from all words minus {excluded!r}"
         )
-        if found:
-            e, lhs, rhs = found
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, lhs, rhs, exponent=e),
-                "base case disagrees with enumeration",
-            )
-    for n in range(start, n_hi + 1):
+        yield {"n": n}, 0, int(_decodes(inverse, class_id, excluded)), (
+            f"excluded word {excluded!r} unexpectedly decoded"
+        )
+
+
+def _dist_cases(stat: str, note: str, class_id, variant, b) -> Iterator[Case]:
+    # one stream for inv-dist, fib-dist and joint-dist: every key of the
+    # closed form against the enumerated tabulation
+    for n in range(1, b.n_gen + 1):
+        oracle = distribution_oracle(class_id, n, stat)
+        pairs = distribution_formula(class_id, n, stat, variant, inv_margin=_INV_MARGIN)
+        for key, value in pairs:
+            if isinstance(key, tuple):
+                parameters = {"n": n, "k": key[0], "j": key[1]}
+            else:
+                parameters = {"n": n, "k": key}
+            yield parameters, oracle.get(key, 0), value, note
+
+
+def _gf_closed_cases(class_id, variant, b) -> Iterator[Case]:
+    for n in range(3, b.n_gf + 1):
+        yield (
+            {"n": n},
+            genfun_oracle(class_id, n),
+            genfun_closed(class_id, n, variant),
+            "summation formula disagrees with enumeration",
+        )
+
+
+def _gf_recurrence_cases(class_id, variant, b) -> Iterator[Case]:
+    for n in (1, 2):
+        yield (
+            {"n": n},
+            genfun_oracle(class_id, n),
+            genfun_recurrence(class_id, n),
+            "base case disagrees with enumeration",
+        )
+    for n in range(b.rec_start, b.n_gf + 1):
         truth = genfun_oracle(class_id, n)
         if n == 2:
             # instantiate the recurrence itself at its claimed lower edge
-            head = Poly.monomial(1, 0, _tail_q_exponent(class_id, 2))
+            head = Poly.monomial(1, 0, class_spec(class_id).tail_q_exponent(2))
             formula = (
                 head
                 + V * genfun_oracle(class_id, 1)
                 + Q * V * V * genfun_oracle(class_id, 0)
             )
-        else:
-            formula = genfun_recurrence(class_id, n)
-        found = _poly_first_mismatch(truth, formula)
-        if found:
-            e, lhs, rhs = found
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, lhs, rhs, exponent=e),
+            yield {"n": n}, truth, formula, (
                 "the n = 2 instance adds a spurious tail monomial"
-                if n == 2
-                else "recurrence disagrees with enumeration",
             )
-    return ("pass", rng, None, "recurrence matches enumeration")
+        else:
+            yield {"n": n}, truth, genfun_recurrence(class_id, n), (
+                "recurrence disagrees with enumeration"
+            )
 
 
-def _check_gf_addition(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = max(n_max, 2)
-    m_hi = max(m_max if m_max is not None else n_hi, 2)
-    rng = f"2 <= m <= {m_hi}, 2 <= n <= {n_hi}, m+n <= {GENERATE_MAX_N}"
-    for m in range(2, m_hi + 1):
-        for n in range(2, n_hi + 1):
-            if m + n > GENERATE_MAX_N:
-                continue
-            truth = genfun_oracle(class_id, m + n)
-            formula = genfun_addition(class_id, m, n, variant)
-            found = _poly_first_mismatch(truth, formula)
-            if found:
-                e, lhs, rhs = found
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"m": m, "n": n}, lhs, rhs, exponent=e),
+def _gf_addition_cases(class_id, variant, b) -> Iterator[Case]:
+    for m in range(2, b.m_add + 1):
+        for n in range(2, b.n_add + 1):
+            if m + n <= GENERATE_MAX_N:
+                yield (
+                    {"m": m, "n": n},
+                    genfun_oracle(class_id, m + n),
+                    genfun_addition(class_id, m, n, variant),
                     "length-splitting formula disagrees with enumeration",
                 )
-    return ("pass", rng, None, "length-splitting formula matches enumeration")
 
 
-# ---------------------------------------------------------------------------
-# global (class-independent) checkers
-
-
-def _check_an_recurrence(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = max(_SCALAR_MIN_RANGE, n_max)
-    rng = f"3 <= n <= {n_hi}"
-    for n in range(3, n_hi + 1):
+def _an_recurrence_cases(class_id, variant, b) -> Iterator[Case]:
+    for n in range(3, b.n_scalar + 1):
         lhs = fib_number(n + 1) - 1
-        rhs = (fib_number(n) - 1) + (fib_number(n - 1) - 1) + 1
-        if lhs != rhs:
-            return ("fail", rng, _mismatch({"n": n}, lhs, rhs), "")
-    return ("pass", rng, None, "a_n = a_{n-1} + a_{n-2} + 1 with a_n = F(n+1) - 1")
+        yield {"n": n}, lhs, (fib_number(n) - 1) + (fib_number(n - 1) - 1) + 1, ""
 
 
-def _check_eq1(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = max(_SCALAR_MIN_RANGE, n_max)
-    start = 1 if variant == "paper" else 0
-    rng = f"{start} <= n <= {n_hi}, summing from k = {start}"
-    for n in range(start, n_hi + 1):
-        lhs = sum(fib_number(k) for k in range(start, n + 1))
-        rhs = fib_number(n + 2) - 1
-        if lhs != rhs:
-            return (
-                "fail",
-                rng,
-                _mismatch({"n": n}, lhs, rhs),
-                "the sum must start at k = 0 to reach F(n+2) - 1",
-            )
-    return ("pass", rng, None, "telescoping sum of Fibonacci numbers")
+def _eq1_cases(class_id, variant, b) -> Iterator[Case]:
+    for n in range(b.sum_start, b.n_scalar + 1):
+        yield (
+            {"n": n},
+            sum(fib_number(k) for k in range(b.sum_start, n + 1)),
+            fib_number(n + 2) - 1,
+            "the sum must start at k = 0 to reach F(n+2) - 1",
+        )
 
 
-def _check_hockey_stick(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = max(_SCALAR_MIN_RANGE, n_max)
-    rng = f"0 <= r <= n <= {n_hi}"
-    for n in range(0, n_hi + 1):
+def _hockey_stick_cases(class_id, variant, b) -> Iterator[Case]:
+    for n in range(0, b.n_scalar + 1):
         for r in range(0, n + 1):
             lhs = sum(comb(i, r) for i in range(r, n + 1))
-            rhs = comb(n + 1, r + 1)
-            if lhs != rhs:
-                return ("fail", rng, _mismatch({"n": n, "r": r}, lhs, rhs), "")
+            yield {"n": n, "r": r}, lhs, comb(n + 1, r + 1), ""
     # consistency: the A-type tail sums collapse to the closed forms used by
-    # inv_distribution_formula
-    for n in range(1, n_hi + 1):
+    # inv_distribution_formula (the sum is 0 while k is below the exponent)
+    a_specs = [spec for spec in CLASS_SPECS.values() if spec.kind == "A"]
+    for n in range(1, b.n_scalar + 1):
         for k in range(0, n + 1):
-            a1 = binomial(n - k, k)
-            if k >= 3:
-                a1 += sum(binomial(t - (k - 3), k - 3) for t in range(0, n - 2))
-            if a1 != inv_distribution_formula("A1", n, k):
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"n": n, "k": k}, a1, inv_distribution_formula("A1", n, k)),
-                    "A1 tail sum does not collapse to the closed form",
+            for spec in a_specs:
+                e = spec.tail_q_exponent(n)
+                tail_sum = binomial(n - k, k) + sum(
+                    binomial(t - (k - e), k - e) for t in range(0, n - 2)
                 )
-            a2 = binomial(n - k, k)
-            if k >= 2:
-                a2 += sum(binomial(t - (k - 2), k - 2) for t in range(0, n - 2))
-            if a2 != inv_distribution_formula("A2", n, k):
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"n": n, "k": k}, a2, inv_distribution_formula("A2", n, k)),
-                    "A2 tail sum does not collapse to the closed form",
+                yield (
+                    {"n": n, "k": k},
+                    tail_sum,
+                    inv_distribution_formula(spec.class_id, n, k),
+                    f"{spec.class_id} tail sum does not collapse to the closed form",
                 )
-    return (
-        "pass",
-        rng,
-        None,
-        "column sums collapse; A-type summation and closed forms agree",
-    )
 
 
-def _check_fib_inv(class_id, variant, n_max, m_max) -> CheckOutcome:
-    n_hi = max(_SCALAR_MIN_RANGE, n_max)
-    enum_hi = min(n_hi, _FIB_ENUM_MAX_N)
-    rng = f"0 <= n <= {n_hi}; enumeration to n = {enum_hi}"
+def _fib_inv_cases(class_id, variant, b) -> Iterator[Case]:
     polys = [ONE, ONE]
-    for _ in range(2, n_hi + 1):
+    for _ in range(2, b.n_scalar + 1):
         polys.append(polys[-1] + Q * polys[-2])
-    for n in range(0, n_hi + 1):
+    for n in range(0, b.n_scalar + 1):
         for k in range(0, n // 2 + 2):
-            lhs = polys[n].coefficient(0, k)
-            rhs = fib_inv_count(n, k)
-            if lhs != rhs:
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"n": n, "k": k}, lhs, rhs),
-                    "recurrence-built inversion polynomial disagrees",
-                )
-    for n in range(0, enum_hi + 1):
+            yield {"n": n, "k": k}, polys[n].coefficient(0, k), fib_inv_count(n, k), (
+                "recurrence-built inversion polynomial disagrees"
+            )
+    for n in range(0, b.n_fib_enum + 1):
         counted = Counter(inversions(p) for p in fib_permutations(n))
         for k in range(0, n // 2 + 2):
-            lhs = counted.get(k, 0)
-            rhs = fib_inv_count(n, k)
-            if lhs != rhs:
-                return (
-                    "fail",
-                    rng,
-                    _mismatch({"n": n, "k": k}, lhs, rhs),
-                    "enumeration disagrees with C(n-k, k)",
-                )
-    return ("pass", rng, None, "C(n-k, k) matches both the recurrence and enumeration")
+            yield {"n": n, "k": k}, counted.get(k, 0), fib_inv_count(n, k), (
+                "enumeration disagrees with C(n-k, k)"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -553,43 +393,112 @@ def _check_fib_inv(class_id, variant, n_max, m_max) -> CheckOutcome:
 
 @dataclass(frozen=True)
 class IdentityFamily:
+    """One identity family.  ``parameter_range`` and ``pass_note`` are
+    format strings over the run's bounds (see ``_bounds``)."""
+
     identity_id: str
     title: str
     per_class: bool
-    checker: Callable[[Optional[str], str, int, Optional[int]], CheckOutcome]
+    cases: Callable[[Optional[str], str, SimpleNamespace], Iterator[Case]]
+    parameter_range: str
+    pass_note: str
 
+
+_DIST_NOTE = "closed form disagrees with enumeration"
 
 FAMILIES: tuple[IdentityFamily, ...] = (
-    IdentityFamily("counts", "member count F(n+1) - 1", True, _check_counts),
     IdentityFamily(
-        "a_n-recurrence", "a_n = a_{n-1} + a_{n-2} + 1", False, _check_an_recurrence
+        "counts", "member count F(n+1) - 1", True, _counts_cases,
+        "1 <= n <= {n_gen}",
+        "count == |generate| throughout; brute-force cross-check to n = {n_brute}",
     ),
-    IdentityFamily("eq1", "sum of F(k) telescopes to F(n+2) - 1", False, _check_eq1),
-    IdentityFamily("hockey-stick", "binomial column sums", False, _check_hockey_stick),
     IdentityFamily(
-        "fib-inv",
-        "inversions over Fibonacci permutations are C(n-k, k)",
-        False,
-        _check_fib_inv,
+        "a_n-recurrence", "a_n = a_{n-1} + a_{n-2} + 1", False, _an_recurrence_cases,
+        "3 <= n <= {n_scalar}",
+        "a_n = a_{{n-1}} + a_{{n-2}} + 1 with a_n = F(n+1) - 1",
     ),
-    IdentityFamily("inv-dist", "inversion distribution closed form", True, _check_inv_dist),
     IdentityFamily(
-        "fib-dist", "Fibonacci-suffix statistic distribution", True, _check_fib_dist
+        "eq1", "sum of F(k) telescopes to F(n+2) - 1", False, _eq1_cases,
+        "{sum_start} <= n <= {n_scalar}, summing from k = {sum_start}",
+        "telescoping sum of Fibonacci numbers",
     ),
-    IdentityFamily("joint-dist", "joint (fib, inv) distribution", True, _check_joint_dist),
-    IdentityFamily("gf-closed", "G_n summation formula", True, _check_gf_closed),
-    IdentityFamily("gf-recurrence", "G_n two-step recurrence", True, _check_gf_recurrence),
     IdentityFamily(
-        "gf-addition", "G_{m+n} length-splitting formula", True, _check_gf_addition
+        "hockey-stick", "binomial column sums", False, _hockey_stick_cases,
+        "0 <= r <= n <= {n_scalar}",
+        "column sums collapse; A-type summation and closed forms agree",
     ),
-    IdentityFamily("bijection-image", "tiling bijection image", True, _check_bijection),
     IdentityFamily(
-        "structure-oracle", "structural generator vs brute force", True, _check_structure
+        "fib-inv", "inversions over Fibonacci permutations are C(n-k, k)", False,
+        _fib_inv_cases,
+        "0 <= n <= {n_scalar}; enumeration to n = {n_fib_enum}",
+        "C(n-k, k) matches both the recurrence and enumeration",
+    ),
+    IdentityFamily(
+        "inv-dist", "inversion distribution closed form", True,
+        partial(_dist_cases, "inv", _DIST_NOTE),
+        "1 <= n <= {n_gen}",
+        "closed form matches enumeration at every k",
+    ),
+    IdentityFamily(
+        "fib-dist", "Fibonacci-suffix statistic distribution", True,
+        partial(_dist_cases, "fib",
+                "no member can leave a Fibonacci suffix of length n-1 or n-2"),
+        "1 <= n <= {n_gen}, 0 <= k <= n",
+        "F(k) for k <= n-3, 0 on the impossible band {{n-2, n-1}}, F(n) at k = n",
+    ),
+    IdentityFamily(
+        "joint-dist", "joint (fib, inv) distribution", True,
+        partial(_dist_cases, "joint", _DIST_NOTE),
+        "1 <= n <= {n_gen}, 0 <= k <= n, 0 <= j <= C(n,2)+2",
+        "closed form matches enumeration at every (k, j)",
+    ),
+    IdentityFamily(
+        "gf-closed", "G_n summation formula", True, _gf_closed_cases,
+        "3 <= n <= {n_gf}",
+        "summation formula matches enumeration",
+    ),
+    IdentityFamily(
+        "gf-recurrence", "G_n two-step recurrence", True, _gf_recurrence_cases,
+        "bases n = 1, 2; instances {rec_start} <= n <= {n_gf}",
+        "recurrence matches enumeration",
+    ),
+    IdentityFamily(
+        "gf-addition", "G_{m+n} length-splitting formula", True, _gf_addition_cases,
+        "2 <= m <= {m_add}, 2 <= n <= {n_add}, m+n <= {mn_max}",
+        "length-splitting formula matches enumeration",
+    ),
+    IdentityFamily(
+        "bijection-image", "tiling bijection image", True, _bijection_cases,
+        "1 <= n <= {n_bij}",
+        "{bijection} bijects members with the (n+1)-cell words minus one excluded word",
+    ),
+    IdentityFamily(
+        "structure-oracle", "structural generator vs brute force", True,
+        _structure_cases,
+        "0 <= n <= {n_brute}",
+        "membership by patterns == membership by shape; all members round-trip",
     ),
 )
 
 IDENTITY_IDS: tuple[str, ...] = tuple(f.identity_id for f in FAMILIES)
 _FAMILY_BY_ID = {f.identity_id: f for f in FAMILIES}
+
+
+def _family(identity_id: str) -> IdentityFamily:
+    family = _FAMILY_BY_ID.get(identity_id)
+    if family is None:
+        raise UnknownIdentityError(
+            f"unknown identity {identity_id!r}; expected one of {IDENTITY_IDS}"
+        )
+    return family
+
+
+def _unit_label(identity_id: str, class_id: Optional[str]) -> str:
+    return identity_id + (f"/{class_id}" if class_id else "")
+
+
+def _resolved(by_variant: dict[str, "IdentityReport"]) -> bool:
+    return any(r.status == "pass" for r in by_variant.values())
 
 
 CORRECTIONS: tuple[Correction, ...] = (
@@ -649,23 +558,18 @@ CORRECTIONS: tuple[Correction, ...] = (
         counterexample="n = 2 for B1: the instance gives q + v^2 + q v^2, "
         "but G_2 = v^2 + q v^2",
     ),
-    Correction(
-        identity_id="gf-addition",
-        class_id="A1",
-        change="the straddling term's v-power is n+1 instead of n+2",
-        reason="a domino across the cut joins the left part's run to the "
-        "n-1 remaining right cells, leaving statistic n+1",
-        counterexample="(m, n) = (2, 2): the coefficient of v^4 q is 3 by "
-        "enumeration but 2 as stated (the stray mass sits at v^5 q)",
-    ),
-    Correction(
-        identity_id="gf-addition",
-        class_id="A2",
-        change="the straddling term's v-power is n+1 instead of n+2",
-        reason="a domino across the cut joins the left part's run to the "
-        "n-1 remaining right cells, leaving statistic n+1",
-        counterexample="(m, n) = (2, 2): the coefficient of v^4 q is 3 by "
-        "enumeration but 2 as stated (the stray mass sits at v^5 q)",
+    *(
+        Correction(
+            identity_id="gf-addition",
+            class_id=spec.class_id,
+            change="the straddling term's v-power is n+1 instead of n+2",
+            reason="a domino across the cut joins the left part's run to the "
+            "n-1 remaining right cells, leaving statistic n+1",
+            counterexample="(m, n) = (2, 2): the coefficient of v^4 q is 3 by "
+            "enumeration but 2 as stated (the stray mass sits at v^5 q)",
+        )
+        for spec in CLASS_SPECS.values()
+        if spec.kind == "A"
     ),
     Correction(
         identity_id="gf-addition",
@@ -705,11 +609,7 @@ def check_identity(
     class_id: Optional[str] = None,
 ) -> IdentityReport:
     """Evaluate one identity under one variant and return its report."""
-    family = _FAMILY_BY_ID.get(identity_id)
-    if family is None:
-        raise UnknownIdentityError(
-            f"unknown identity {identity_id!r}; expected one of {IDENTITY_IDS}"
-        )
+    family = _family(identity_id)
     check_variant(variant)
     if family.per_class:
         if class_id is None:
@@ -717,15 +617,16 @@ def check_identity(
         check_class_id(class_id)
     elif class_id is not None:
         raise ValueError(f"identity {identity_id!r} is global; class_id must be None")
-    status, rng, mismatch, notes = family.checker(class_id, variant, n_max, m_max)
+    bounds = _bounds(class_id, variant, n_max, m_max)
+    status, mismatch, note = _run_cases(family.cases(class_id, variant, bounds))
     return IdentityReport(
         identity_id=identity_id,
         class_id=class_id,
         variant=variant,
-        parameter_range=rng,
+        parameter_range=family.parameter_range.format_map(vars(bounds)),
         status=status,
         first_mismatch=mismatch,
-        notes=notes,
+        notes=family.pass_note.format_map(vars(bounds)) if status == "pass" else note,
     )
 
 
@@ -755,11 +656,8 @@ class VerificationResult:
 
     def unresolved_units(self) -> list[tuple[str, Optional[str]]]:
         """Units with no passing variant among those evaluated."""
-        return [
-            key
-            for key, by_variant in self.units().items()
-            if not any(r.status == "pass" for r in by_variant.values())
-        ]
+        units = self.units()
+        return [key for key, by_variant in units.items() if not _resolved(by_variant)]
 
     def registry_problems(self) -> list[str]:
         """Correction entries that failed to validate in this run."""
@@ -777,20 +675,16 @@ class VerificationResult:
                 continue
             if "corrected" not in self.variants:
                 continue
-            if family.per_class:
-                keys = [
-                    (corr.identity_id, cid)
-                    for cid in (CLASS_IDS if corr.class_id is None else [corr.class_id])
-                ]
+            if corr.class_id is not None:
+                class_ids = (corr.class_id,)
             else:
-                keys = [(corr.identity_id, None)]
-            for key in keys:
-                report = evaluated.get(key, {}).get("corrected")
+                class_ids = CLASS_IDS if family.per_class else (None,)
+            for class_id in class_ids:
+                report = evaluated.get((corr.identity_id, class_id), {}).get("corrected")
                 if report is not None and report.status != "pass":
                     problems.append(
-                        f"correction for {key[0]}"
-                        + (f"/{key[1]}" if key[1] else "")
-                        + f" did not validate: corrected variant {report.status}"
+                        f"correction for {_unit_label(corr.identity_id, class_id)} "
+                        f"did not validate: corrected variant {report.status}"
                     )
         return problems
 
@@ -809,26 +703,22 @@ def run_verification(
 ) -> VerificationResult:
     """Evaluate identities (all 13 by default) over both variants."""
     if identity_ids is None or identity_ids == "all" or identity_ids == ["all"]:
-        ids = list(IDENTITY_IDS)
-    else:
-        ids = list(identity_ids)
-        for identity_id in ids:
-            if identity_id not in _FAMILY_BY_ID:
-                raise UnknownIdentityError(
-                    f"unknown identity {identity_id!r}; expected one of {IDENTITY_IDS}"
-                )
+        identity_ids = IDENTITY_IDS
+    families = [_family(identity_id) for identity_id in identity_ids]
     requested = set(variants)
     for variant in requested:
         check_variant(variant)
     ordered_variants = tuple(v for v in VARIANTS if v in requested)
-    specs = []
-    for identity_id in ids:
-        family = _FAMILY_BY_ID[identity_id]
-        class_ids = CLASS_IDS if family.per_class else (None,)
-        for class_id in class_ids:
-            for variant in ordered_variants:
-                specs.append((identity_id, class_id, variant, n_max, m_max))
+    specs = [
+        (family.identity_id, class_id, variant, n_max, m_max)
+        for family in families
+        for class_id in (CLASS_IDS if family.per_class else (None,))
+        for variant in ordered_variants
+    ]
     if jobs > 1:
+        # imported here: it costs a noticeable share of the CLI's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = tuple(pool.map(_run_unit, specs))
     else:
@@ -854,10 +744,8 @@ def _mismatch_text(mismatch: Optional[dict]) -> str:
 
 def render_text(result: VerificationResult) -> str:
     """Fixed-width per-report lines plus a summary block."""
-    lines = []
     header = f"{'identity':<16} {'class':<5} {'variant':<9} {'status':<13} details"
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     for r in result.reports:
         detail = r.parameter_range
         if r.first_mismatch:
@@ -876,9 +764,8 @@ def render_text(result: VerificationResult) -> str:
         f"units: {len(units)}; resolved: {len(units) - len(unresolved)}; "
         f"unresolved: {len(unresolved)}"
     )
-    if unresolved:
-        for identity_id, class_id in unresolved:
-            lines.append(f"  unresolved: {identity_id}" + (f"/{class_id}" if class_id else ""))
+    for key in unresolved:
+        lines.append(f"  unresolved: {_unit_label(*key)}")
     lines.append(
         f"corrections registry: {len(CORRECTIONS)} entries"
         + ("; all exercised entries validated" if not problems else "")
@@ -898,6 +785,14 @@ def _unit_sort_key(key: tuple[str, Optional[str]]):
     return (IDENTITY_IDS.index(identity_id), class_id or "")
 
 
+def _correction_lines(corr: Correction) -> list[str]:
+    return [
+        f"- change: {corr.change}",
+        f"- reason: {corr.reason}",
+        f"- counterexample: {corr.counterexample}",
+    ]
+
+
 def render_markdown(result: VerificationResult, stamp: Optional[str] = None) -> str:
     """Markdown report: summary table, deviations, corrections registry."""
     lines = ["# Identity verification report", ""]
@@ -908,84 +803,54 @@ def render_markdown(result: VerificationResult, stamp: Optional[str] = None) -> 
     )
     if stamp:
         lines.append(f"Stamp: {stamp}")
-    lines.append("")
-    lines.append("## Summary")
-    lines.append("")
-    variant_cols = list(result.variants)
-    lines.append("| identity | class | " + " | ".join(variant_cols) + " | resolved |")
-    lines.append("|---|---|" + "---|" * (len(variant_cols) + 1))
+    lines += ["", "## Summary", ""]
+    lines.append("| identity | class | " + " | ".join(result.variants) + " | resolved |")
+    lines.append("|---|---|" + "---|" * (len(result.variants) + 1))
     units = result.units()
-    for key in sorted(units, key=_unit_sort_key):
-        identity_id, class_id = key
-        by_variant = units[key]
-        cells = []
-        for variant in variant_cols:
-            report = by_variant.get(variant)
-            cells.append(report.status if report else "-")
-        resolved = "yes" if any(r.status == "pass" for r in by_variant.values()) else "NO"
-        lines.append(
-            f"| {identity_id} | {class_id or '-'} | " + " | ".join(cells) + f" | {resolved} |"
-        )
-    lines.append("")
-    lines.append("## Deviations from the stated forms")
-    lines.append("")
     deviations = []
     for key in sorted(units, key=_unit_sort_key):
         by_variant = units[key]
+        cells = [by_variant[v].status if v in by_variant else "-" for v in result.variants]
+        resolved = "yes" if _resolved(by_variant) else "NO"
+        row = [key[0], key[1] or "-"] + cells + [resolved]
+        lines.append("| " + " | ".join(row) + " |")
         paper = by_variant.get("paper")
-        corrected = by_variant.get("corrected")
         if paper is not None and paper.status != "pass":
-            deviations.append((key, paper, corrected))
+            deviations.append((key, paper, by_variant.get("corrected")))
+    lines += ["", "## Deviations from the stated forms", ""]
     if not deviations:
         lines.append("None: every identity holds as stated over the checked ranges.")
     for (identity_id, class_id), paper, corrected in deviations:
-        title = _FAMILY_BY_ID[identity_id].title
         label = identity_id + (f" ({class_id})" if class_id else "")
-        lines.append(f"### {label}: {title}")
-        lines.append("")
+        lines += [f"### {label}: {_FAMILY_BY_ID[identity_id].title}", ""]
         if paper.first_mismatch:
-            lines.append(
-                f"- as stated: **{paper.status}** over {paper.parameter_range}; "
-                f"first mismatch {_mismatch_text(paper.first_mismatch)}"
-            )
+            found = f"first mismatch {_mismatch_text(paper.first_mismatch)}"
         else:
-            lines.append(
-                f"- as stated: **{paper.status}** over {paper.parameter_range}; {paper.notes}"
-            )
+            found = paper.notes
+        lines.append(
+            f"- as stated: **{paper.status}** over {paper.parameter_range}; {found}"
+        )
         if corrected is not None:
             lines.append(
                 f"- corrected: **{corrected.status}** over {corrected.parameter_range}"
             )
         for corr in CORRECTIONS:
-            if corr.identity_id != identity_id:
-                continue
-            if corr.class_id is not None and corr.class_id != class_id:
-                continue
-            lines.append(f"- change: {corr.change}")
-            lines.append(f"- reason: {corr.reason}")
-            lines.append(f"- counterexample: {corr.counterexample}")
+            if corr.identity_id == identity_id and corr.class_id in (None, class_id):
+                lines += _correction_lines(corr)
         lines.append("")
-    lines.append("## Corrections registry")
-    lines.append("")
+    lines += ["## Corrections registry", ""]
     for corr in CORRECTIONS:
         label = corr.identity_id + (f" ({corr.class_id})" if corr.class_id else "")
-        lines.append(f"### {label}")
-        lines.append("")
-        lines.append(f"- change: {corr.change}")
-        lines.append(f"- reason: {corr.reason}")
-        lines.append(f"- counterexample: {corr.counterexample}")
-        lines.append("")
-    lines.append("## Outcome")
-    lines.append("")
-    unresolved = result.unresolved_units()
+        lines += [f"### {label}", ""] + _correction_lines(corr) + [""]
+    lines += ["## Outcome", ""]
     if result.resolved:
         lines.append(
             "All units pass in at least one evaluated variant and every "
             "exercised correction validated."
         )
     else:
-        for identity_id, class_id in unresolved:
-            lines.append(f"- unresolved: {identity_id}" + (f"/{class_id}" if class_id else ""))
+        for key in result.unresolved_units():
+            lines.append(f"- unresolved: {_unit_label(*key)}")
         for problem in result.registry_problems():
             lines.append(f"- registry problem: {problem}")
     return "\n".join(lines) + "\n"
@@ -1017,7 +882,7 @@ def to_json_doc(result: VerificationResult, stamp: Optional[str] = None) -> dict
             {
                 "identity": identity_id,
                 "class": class_id,
-                "resolved": any(r.status == "pass" for r in units[(identity_id, class_id)].values()),
+                "resolved": _resolved(units[(identity_id, class_id)]),
             }
             for identity_id, class_id in sorted(units, key=_unit_sort_key)
         ],

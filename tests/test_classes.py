@@ -4,6 +4,7 @@ from fibperm.classes import (
     A_CLASSES,
     B_CLASSES,
     CLASS_IDS,
+    CLASS_SPECS,
     ADecomposition,
     BDecomposition,
     compose,
@@ -19,7 +20,7 @@ from fibperm.errors import (
     UnsupportedLengthError,
 )
 from fibperm.fib import fib_number
-from fibperm.perms import brute_force_av
+from fibperm.perms import brute_force_av, inversions
 
 
 class TestPatterns:
@@ -42,6 +43,26 @@ class TestPatterns:
             patterns_of("C1")
         with pytest.raises(ValueError):
             count("a1", 3)
+
+
+class TestClassSpecs:
+    def test_derived_id_tuples(self):
+        assert CLASS_IDS == ("A1", "A2", "B1", "B2")
+        assert A_CLASSES == ("A1", "A2")
+        assert B_CLASSES == ("B1", "B2")
+
+    def test_exceptional_member_carries_the_tail_exponent(self):
+        # the exceptional length-n member, built from the shape alone: an
+        # increasing prefix then the core (A), or the full pre-part (B)
+        for class_id, spec in CLASS_SPECS.items():
+            for n in range(3, 13):
+                if spec.kind == "A":
+                    member = tuple(range(1, n - 2)) + spec.shape(n - 2)
+                else:
+                    member = spec.shape(n)
+                assert member == spec.head(n), (class_id, n)
+                assert member in generate(class_id, n), (class_id, n)
+                assert inversions(member) == spec.tail_q_exponent(n), (class_id, n)
 
 
 class TestCount:

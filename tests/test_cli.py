@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,6 +156,13 @@ class TestVerifyCommand:
         code = main(["verify", "--identity", "eq1", "--n-max", "5", "--stamp"])
         assert code == 0
         assert capsys.readouterr().out.startswith("stamp: ")
+
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        # --jobs imports ProcessPoolExecutor only when it is asked for
+        code = ("import sys, fibperm.cli; "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_jobs_output_matches_sequential(self, capsys):
         main(["verify", "--identity", "gf-recurrence", "--n-max", "5"])

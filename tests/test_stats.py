@@ -8,6 +8,7 @@ from fibperm.fib import fib_number, tiling_to_perm, tilings
 from fibperm.perms import inversions
 from fibperm.stats import (
     binomial,
+    distribution_formula,
     distribution_oracle,
     fib_distribution_formula,
     fib_distribution_stated,
@@ -150,3 +151,40 @@ class TestJointDistribution:
         assert joint_distribution_formula("B2", 5, 6, 0) == 0
         with pytest.raises(ValueError):
             joint_distribution_formula("B2", 5, 2, 3, "wrong")
+
+
+class TestDistributionFormula:
+    def test_domain_and_margin(self):
+        keys = [k for k, _ in distribution_formula("A1", 5, "inv")]
+        assert keys == list(range(comb(5, 2) + 1))
+        keys = [k for k, _ in distribution_formula("A1", 5, "inv", inv_margin=2)]
+        assert keys == list(range(comb(5, 2) + 3))
+        assert [k for k, _ in distribution_formula("B1", 4, "fib")] == [0, 1, 2, 3, 4]
+
+    def test_variant_dispatch(self):
+        for cls in CLASS_IDS:
+            for n in range(1, 8):
+                corrected = dict(distribution_formula(cls, n, "fib", "corrected"))
+                paper = dict(distribution_formula(cls, n, "fib", "paper"))
+                assert corrected == {k: fib_distribution_formula(cls, n, k) for k in corrected}
+                assert paper == {k: fib_distribution_stated(n, k) for k in paper}
+                joint = dict(distribution_formula(cls, n, "joint", "paper"))
+                assert joint == {
+                    (k, j): joint_distribution_formula(cls, n, k, j, "paper")
+                    for k, j in joint
+                }
+
+    def test_stated_b2_joint_form_reaches_past_c_n_2(self):
+        # why the CLI cut at C(n,2) and the verify margin stay separate
+        beyond = [
+            (n, key)
+            for n in range(1, 7)
+            for key, value in distribution_formula("B2", n, "joint", "paper", 2)
+            if value and key[1] > comb(n, 2)
+        ]
+        assert (3, (0, 4)) in beyond
+
+    def test_is_lazy(self):
+        pairs = distribution_formula("A1", 30, "joint")
+        assert iter(pairs) is pairs
+        assert next(pairs) == ((0, 0), 0)
