@@ -51,9 +51,14 @@ def fib_number(n: int) -> int:
     """
     if n < 0:
         raise UnsupportedLengthError(f"F({n}) is not defined here")
-    a, b = 1, 1
-    for _ in range(n):
-        a, b = b, a + b
+    # Fast doubling (Knuth, TAOCP vol. 1, 1.2.8) on the standard numbers
+    # f(0) = 0, f(1) = 1, where F(n) = f(n + 1): from (f(k), f(k + 1)),
+    # f(2k) = f(k) (2 f(k + 1) - f(k)) and f(2k + 1) = f(k)^2 + f(k + 1)^2.
+    a, b = 0, 1
+    for bit in bin(n + 1)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
 
 
@@ -199,14 +204,18 @@ def fib_stat(perm: Sequence[int]) -> int:
     >>> fib_stat((3, 2, 1))
     0
     """
-    n = len(perm)
-    best = 0
-    smallest = n + 1
-    for k in range(1, n + 1):
-        smallest = min(smallest, perm[n - k])
-        if smallest == n - k + 1:
-            # suffix holds exactly the k top values; shift them to 1..k
-            window = tuple(x - (n - k) for x in perm[n - k :])
-            if is_fibonacci(window):
-                best = k
-    return best
+    # A Fibonacci suffix on the top values splits, read from the right, into
+    # blocks in exactly one way.  While the scan has consumed such a suffix,
+    # the p entries left hold the values 1..p, so the next block is a
+    # monomino when perm[p-1] == p and a domino when perm[p-2:p] == (p, p-1).
+    # Every Fibonacci suffix is therefore a stage of this scan, and the
+    # longest one ends where the scan stops.
+    p = len(perm)
+    while p:
+        if perm[p - 1] == p:
+            p -= 1
+        elif p >= 2 and perm[p - 1] == p - 1 and perm[p - 2] == p:
+            p -= 2
+        else:
+            break
+    return len(perm) - p

@@ -3,13 +3,17 @@
 A permutation of length n is a ``tuple[int, ...]`` holding each of 1..n
 exactly once; the empty tuple is the unique permutation of length 0.  This
 module supplies validation, classical pattern containment, direct and skew
-sums, inversion counting, and a brute-force avoidance filter used as the
-ground-truth oracle by everything downstream.
+sums, inversion counting, and a generating-tree avoidance oracle used as the
+ground truth by everything downstream: the avoiders of length n are the
+avoiders of length n - 1 with the value n inserted somewhere, kept when they
+still contain no pattern (West 1995).  It tests candidates with
+``contains_pattern`` alone, so it shares no code with the structural
+generators.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, insort
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -23,14 +27,19 @@ from .errors import (
 Perm = tuple[int, ...]
 PatternSet = frozenset[Perm]
 
-# Hard cap for the factorial-time filter; larger boards go through the
+# Hard cap for the generating-tree oracle; larger boards go through the
 # structural generators instead.
-BRUTE_FORCE_MAX_N = 10
+BRUTE_FORCE_MAX_N = 13
+# Most candidates one tree level may test.  A pattern set that few
+# permutations contain (say one long pattern) grows a level towards n!, so
+# such a level raises SizeLimitError instead of running for minutes.
+BRUTE_FORCE_MAX_CANDIDATES = 10**6
 
 __all__ = [
     "Perm",
     "PatternSet",
     "BRUTE_FORCE_MAX_N",
+    "BRUTE_FORCE_MAX_CANDIDATES",
     "make_permutation",
     "make_pattern_set",
     "standardize",
@@ -95,11 +104,15 @@ def standardize(values: Sequence[int]) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _tightest_neighbours(pattern: Perm) -> tuple[tuple[int, int], ...]:
+def _tightest_neighbours(pattern: Perm) -> tuple[tuple[int, int, int, int], ...]:
     # For each pattern index t: indices (< t) of the already-matched entries
     # giving the tightest value bounds below and above pattern[t]; -1 when
     # unbounded on that side.  Checking only these two bounds is equivalent
-    # to checking order-isomorphism against all earlier entries.
+    # to checking order-isomorphism against all earlier entries.  Each index
+    # comes with a gap: the pattern values strictly between pattern[t] and
+    # that neighbour (or 0, or k + 1) need as many distinct values of perm
+    # between their matches, which prunes candidates that leave too little
+    # room.
     bounds = []
     for t, val in enumerate(pattern):
         lo_idx = hi_idx = -1
@@ -109,7 +122,7 @@ def _tightest_neighbours(pattern: Perm) -> tuple[tuple[int, int], ...]:
                 lo_val, lo_idx = pattern[s], s
             elif val < pattern[s] < hi_val:
                 hi_val, hi_idx = pattern[s], s
-        bounds.append((lo_idx, hi_idx))
+        bounds.append((lo_idx, val - lo_val - 1, hi_idx, hi_val - val - 1))
     return tuple(bounds)
 
 
@@ -132,9 +145,9 @@ def contains_pattern(perm: Sequence[int], pattern: Perm) -> bool:
     def extend(t: int, start: int) -> bool:
         if t == k:
             return True
-        lo_idx, hi_idx = bounds[t]
-        lo_val = match[lo_idx] if lo_idx >= 0 else 0
-        hi_val = match[hi_idx] if hi_idx >= 0 else n + 1
+        lo_idx, lo_gap, hi_idx, hi_gap = bounds[t]
+        lo_val = (match[lo_idx] if lo_idx >= 0 else 0) + lo_gap
+        hi_val = (match[hi_idx] if hi_idx >= 0 else n + 1) - hi_gap
         for i in range(start, last_start + t + 1):
             if lo_val < perm[i] < hi_val:
                 match[t] = perm[i]
@@ -145,14 +158,19 @@ def contains_pattern(perm: Sequence[int], pattern: Perm) -> bool:
     return extend(0, 0)
 
 
+@lru_cache(maxsize=None)
+def _check_order(patterns: PatternSet) -> tuple[Perm, ...]:
+    # shortest patterns first: they are the cheapest to rule out
+    return tuple(sorted(patterns, key=lambda p: (len(p), p)))
+
+
 def avoids_all(perm: Sequence[int], patterns: Iterable[Perm]) -> bool:
     """Whether *perm* contains none of the given patterns.
 
     >>> avoids_all((3, 2, 1), [(2, 3, 1), (3, 1, 2)])
     True
     """
-    ordered = sorted(patterns, key=lambda p: (len(p), p))
-    return not any(contains_pattern(perm, p) for p in ordered)
+    return not any(contains_pattern(perm, p) for p in _check_order(frozenset(patterns)))
 
 
 def direct_sum(alpha: Sequence[int], beta: Sequence[int]) -> Perm:
@@ -183,27 +201,43 @@ def inversions(perm: Sequence[int]) -> int:
     >>> inversions(())
     0
     """
-    return sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
+    # right to left: each value inverts with the smaller values already seen
+    seen: list[int] = []
+    total = 0
+    for v in reversed(perm):
+        total += bisect_left(seen, v)
+        insort(seen, v)
+    return total
 
 
 @lru_cache(maxsize=None)
 def _brute_force_av(n: int, patterns: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    return tuple(
-        p
-        for p in itertools.permutations(range(1, n + 1))
-        if not any(contains_pattern(p, pat) for pat in patterns)
-    )
+    if n == 0:
+        return ((),)
+    # Deleting the maximum from an avoider leaves an avoider, so every
+    # length-n avoider is a length-(n-1) avoider with n inserted somewhere.
+    parents = _brute_force_av(n - 1, patterns)
+    if len(parents) * n > BRUTE_FORCE_MAX_CANDIDATES:
+        raise SizeLimitError(
+            f"the avoidance tree would test {len(parents) * n} candidates at"
+            f" n = {n}; the bound is {BRUTE_FORCE_MAX_CANDIDATES}"
+        )
+    children = []
+    for parent in parents:
+        for i in range(n):
+            child = parent[:i] + (n,) + parent[i:]
+            if not any(contains_pattern(child, pat) for pat in patterns):
+                children.append(child)
+    children.sort()
+    return tuple(children)
 
 
 def brute_force_av(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
     """All length-n permutations avoiding every pattern, in lexicographic order.
 
-    Filters all n! permutations, so n is capped at ``BRUTE_FORCE_MAX_N``.
+    Grows a generating tree one length at a time, so n is capped at
+    ``BRUTE_FORCE_MAX_N`` and each level at ``BRUTE_FORCE_MAX_CANDIDATES``
+    candidates.
 
     >>> brute_force_av(3, [(2, 3, 1), (3, 1, 2), (3, 2, 1)])
     [(1, 2, 3), (1, 3, 2), (2, 1, 3)]
@@ -216,8 +250,7 @@ def brute_force_av(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
         raise SizeLimitError(
             f"brute force is capped at n = {BRUTE_FORCE_MAX_N}; got {n}"
         )
-    pats = tuple(sorted(make_pattern_set(patterns), key=lambda p: (len(p), p)))
-    return list(_brute_force_av(n, pats))
+    return list(_brute_force_av(n, _check_order(make_pattern_set(patterns))))
 
 
 def format_permutation(perm: Sequence[int]) -> str:

@@ -203,15 +203,29 @@ def _counts_cases(class_id, variant, b) -> Iterator[Case]:
             yield {"n": n}, brute_force_av(n, patterns_of(class_id)), members, _BRUTE_NOTE
 
 
+def _nonmember_candidates(class_id: str, n: int, members: set) -> Iterator:
+    """Length-n non-members in a fixed order: all of them for n <= 6, else
+    every one-point extension of a length-(n-1) member (some value v
+    inserted anywhere, the values >= v shifted up), the non-members
+    nearest the class boundary."""
+    if n <= 6:
+        yield from (p for p in itertools.permutations(range(1, n + 1)) if p not in members)
+        return
+    seen = set(members)
+    for q in generate(class_id, n - 1):
+        for v in range(1, n + 1):
+            shifted = tuple(x + (x >= v) for x in q)
+            for i in range(n):
+                p = shifted[:i] + (v,) + shifted[i:]
+                if p not in seen:
+                    seen.add(p)
+                    yield p
+
+
 @lru_cache(maxsize=None)
 def _first_undecomposable_nonmember(class_id: str, n: int):
-    # Non-members must be rejected by decompose; full scan for small n,
-    # strided (deterministic) sampling above 6.
-    members = set(generate(class_id, n))
-    stride = 1 if n <= 6 else 97
-    for p in itertools.islice(itertools.permutations(range(1, n + 1)), 0, None, stride):
-        if p in members:
-            continue
+    # Non-members must be rejected by decompose.
+    for p in _nonmember_candidates(class_id, n, set(generate(class_id, n))):
         try:
             decompose(class_id, p)
         except NotInClassError:

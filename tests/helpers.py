@@ -4,11 +4,11 @@ Everything here is written the slow, obviously-correct way so the fast
 library code can be checked against it.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from fibperm.perms import standardize
+from fibperm.perms import contains_pattern, standardize
 
 
 def naive_contains(perm: tuple, pattern: tuple) -> bool:
@@ -40,6 +40,34 @@ def naive_fib_stat(perm: tuple) -> int:
         if naive_avoids_all(standardize(window), _FIB_PATTERNS):
             best = k
     return best
+
+
+def naive_brute_force_av(n: int, patterns) -> list:
+    """Length-n avoiders by filtering all n! permutations, in
+    lexicographic order."""
+    return [
+        p
+        for p in permutations(range(1, n + 1))
+        if not any(contains_pattern(p, pat) for pat in patterns)
+    ]
+
+
+def naive_inversions(perm: tuple) -> int:
+    """Inversions by comparing every pair."""
+    return sum(
+        1
+        for i in range(len(perm))
+        for j in range(i + 1, len(perm))
+        if perm[i] > perm[j]
+    )
+
+
+def naive_fib_number(n: int) -> int:
+    """F(n) with F(0) = F(1) = 1, one addition at a time."""
+    a, b = 1, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def permutations_up_to(max_n: int):

@@ -67,11 +67,11 @@ def test_criterion_1_counts():
 
 
 def test_criterion_2_oracle_equivalence():
-    with criterion(2, "structural generation equals brute force for n <= 9"):
+    with criterion(2, "structural generation equals brute force for n <= 13"):
         start = time.monotonic()
         for cls in CLASS_IDS:
             pats = patterns_of(cls)
-            for n in range(0, 10):
+            for n in range(0, 14):
                 assert set(generate(cls, n)) == set(
                     brute_force_av(n, pats)
                 ), (cls, n)

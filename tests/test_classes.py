@@ -112,7 +112,7 @@ class TestGenerate:
     def test_matches_brute_force(self):
         for cls in CLASS_IDS:
             pats = patterns_of(cls)
-            for n in range(0, 9):
+            for n in range(0, 14):
                 assert generate(cls, n) == brute_force_av(n, pats), (cls, n)
 
     def test_limits(self):

@@ -22,7 +22,7 @@ from fibperm.fib import (
     tilings,
 )
 from fibperm.perms import avoids_all
-from helpers import naive_fib_stat, permutations_up_to
+from helpers import naive_fib_number, naive_fib_stat, permutations_up_to
 
 
 class TestFibNumber:
@@ -34,6 +34,10 @@ class TestFibNumber:
     def test_negative_rejected(self):
         with pytest.raises(UnsupportedLengthError):
             fib_number(-1)
+
+    def test_matches_naive(self):
+        for n in range(3001):
+            assert fib_number(n) == naive_fib_number(n), n
 
 
 class TestIsFibonacci:
@@ -130,6 +134,6 @@ class TestFibStat:
                 perm = tiling_to_perm(word)
                 assert fib_stat(perm) == len(perm)
 
-    @given(permutations_up_to(7))
+    @given(permutations_up_to(9))
     def test_matches_naive(self, perm):
         assert fib_stat(perm) == naive_fib_stat(perm)

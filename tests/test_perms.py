@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import pytest
@@ -10,7 +11,11 @@ from fibperm.errors import (
     SizeLimitError,
     UnsupportedLengthError,
 )
+from fibperm.classes import CLASS_IDS, patterns_of
+from fibperm.fib import FIBONACCI_PATTERNS
 from fibperm.perms import (
+    BRUTE_FORCE_MAX_CANDIDATES,
+    BRUTE_FORCE_MAX_N,
     avoids_all,
     brute_force_av,
     contains_pattern,
@@ -23,7 +28,13 @@ from fibperm.perms import (
     skew_sum,
     standardize,
 )
-from helpers import naive_avoids_all, naive_contains, permutations_up_to
+from helpers import (
+    naive_avoids_all,
+    naive_brute_force_av,
+    naive_contains,
+    naive_inversions,
+    permutations_up_to,
+)
 
 ALL_LEN3 = [tuple(p) for p in permutations((1, 2, 3))]
 ALL_LEN4 = [tuple(p) for p in permutations((1, 2, 3, 4))]
@@ -88,6 +99,10 @@ class TestInversions:
         n = 8
         assert inversions(tuple(range(n, 0, -1))) == n * (n - 1) // 2
 
+    @given(permutations_up_to(9))
+    def test_matches_naive(self, perm):
+        assert inversions(perm) == naive_inversions(perm)
+
 
 class TestContainment:
     def test_examples(self):
@@ -124,11 +139,27 @@ class TestBruteForce:
         assert members == sorted(members)
         assert len(members) == 16  # 2^{5-1}
 
+    @pytest.mark.parametrize(
+        "patterns",
+        [patterns_of(cls) for cls in CLASS_IDS]
+        + [FIBONACCI_PATTERNS, {(1, 2, 3)}, {(1, 3, 2)}, {(2, 1, 3), (1, 3, 2, 4)}],
+        ids=list(CLASS_IDS) + ["fibonacci", "123", "132", "213-1324"],
+    )
+    def test_tree_matches_factorial_filter(self, patterns):
+        for n in range(9):
+            assert brute_force_av(n, patterns) == naive_brute_force_av(n, patterns), n
+
     def test_limits(self):
         with pytest.raises(UnsupportedLengthError):
             brute_force_av(-1, {(2, 3, 1)})
-        with pytest.raises(SizeLimitError):
-            brute_force_av(11, {(2, 3, 1)})
+        start = time.monotonic()
+        with pytest.raises(SizeLimitError, match="capped"):
+            brute_force_av(BRUTE_FORCE_MAX_N + 1, {(2, 3, 1)})
+        # no permutation of length <= 10 contains 11 10 ... 1, so level 10
+        # would test 9! * 10 candidates
+        with pytest.raises(SizeLimitError, match=str(BRUTE_FORCE_MAX_CANDIDATES)):
+            brute_force_av(10, {tuple(range(11, 0, -1))})
+        assert time.monotonic() - start < 5.0
 
     def test_pattern_set_validation(self):
         with pytest.raises(UnsupportedLengthError):
