@@ -13,7 +13,6 @@ generators.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -201,12 +200,14 @@ def inversions(perm: Sequence[int]) -> int:
     >>> inversions(())
     0
     """
-    # right to left: each value inverts with the smaller values already seen
-    seen: list[int] = []
+    # Right to left, each value inverts with the smaller values already
+    # seen; bit v of ``seen`` is set once v has been passed.
+    seen = 0
     total = 0
     for v in reversed(perm):
-        total += bisect_left(seen, v)
-        insort(seen, v)
+        bit = 1 << v
+        total += (seen & (bit - 1)).bit_count()
+        seen |= bit
     return total
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fibperm import verify
 from fibperm.classes import CLASS_IDS
 from fibperm.errors import UnknownIdentityError
 from fibperm.verify import (
@@ -114,6 +115,26 @@ class TestCheckIdentity:
     def test_variant_validation(self):
         with pytest.raises(ValueError):
             check_identity("eq1", "folk")
+
+
+class TestStructureOracle:
+    def test_catches_decompose_accepting_a_boundary_nonmember(self, monkeypatch):
+        # Not in A1 (it contains 4321), and one inserted value away from the
+        # member 3 2 1 5 4 7 6; a 1-in-97 sample of all 8! permutations skips it.
+        bad = (4, 3, 2, 1, 6, 5, 8, 7)
+        real = verify.decompose
+
+        def lenient(class_id, perm):
+            return None if perm == bad else real(class_id, perm)
+
+        monkeypatch.setattr(verify, "decompose", lenient)
+        verify._first_undecomposable_nonmember.cache_clear()
+        try:
+            report = check_identity("structure-oracle", "corrected", class_id="A1", n_max=8)
+        finally:
+            verify._first_undecomposable_nonmember.cache_clear()
+        assert report.status == "fail"
+        assert report.notes == f"non-member {bad} was not rejected by decompose"
 
 
 class TestFullRun:
