@@ -14,8 +14,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .classes import CLASS_IDS, count, generate
@@ -33,7 +34,12 @@ from .verify import (
     to_json_doc,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "FIB_MAX_N", "COUNT_MAX_N"]
+
+# Output caps for the exact big integers: F(100001) has 20,899 digits, and
+# count --n-max 10000 prints about 10 MB.
+FIB_MAX_N = 100_000
+COUNT_MAX_N = 10_000
 
 
 def _positive_int(text: str) -> int:
@@ -52,6 +58,26 @@ def _nonneg_int(text: str) -> int:
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _check_cap(option: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise SizeLimitError(f"{option} is capped at {cap}; got {value}")
+
+
+@contextmanager
+def _exact_int_output() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit limit (CPython 3.10.7+) for
+    the block, so capped outputs print in full; restore it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,17 +175,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args) -> int:
+    _check_cap("--n-max", args.n_max, COUNT_MAX_N)
     rows = [(n, count(args.class_id, n)) for n in range(1, args.n_max + 1)]
-    if args.format == "json":
-        _emit_json(
-            {
-                "class": args.class_id,
-                "rows": [{"n": n, "count": c} for n, c in rows],
-            }
-        )
-    else:
-        for n, c in rows:
-            print(f"{n} {c}")
+    with _exact_int_output():
+        if args.format == "json":
+            _emit_json(
+                {
+                    "class": args.class_id,
+                    "rows": [{"n": n, "count": c} for n, c in rows],
+                }
+            )
+        else:
+            for n, c in rows:
+                print(f"{n} {c}")
     return 0
 
 
@@ -277,11 +305,13 @@ def cmd_map(args) -> int:
 
 
 def cmd_fib(args) -> int:
+    _check_cap("--n", args.n, FIB_MAX_N)
     value = fib_number(args.n)
-    if args.format == "json":
-        _emit_json({"n": args.n, "fib": value})
-    else:
-        print(value)
+    with _exact_int_output():
+        if args.format == "json":
+            _emit_json({"n": args.n, "fib": value})
+        else:
+            print(value)
     return 0
 
 

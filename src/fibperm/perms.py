@@ -251,7 +251,12 @@ def brute_force_av(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
         raise SizeLimitError(
             f"brute force is capped at n = {BRUTE_FORCE_MAX_N}; got {n}"
         )
-    return list(_brute_force_av(n, _check_order(make_pattern_set(patterns))))
+    try:
+        return list(_brute_force_av(n, _check_order(make_pattern_set(patterns))))
+    except SizeLimitError:
+        # the levels built before the bound was hit can hold 9! permutations
+        _brute_force_av.cache_clear()
+        raise
 
 
 def format_permutation(perm: Sequence[int]) -> str:

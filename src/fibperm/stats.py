@@ -1,5 +1,5 @@
 """Statistics over the classes: inversions, the Fibonacci-suffix statistic,
-and their joint distribution, as enumerated oracles and as closed forms.
+and their joint distribution, as closed forms and as folds of the enumerated G_n.
 
 The closed forms use the convention that a binomial coefficient with its
 lower index outside 0..upper is 0.  Where the literature's stated form and
@@ -14,10 +14,9 @@ from collections import Counter
 from math import comb
 from typing import Iterator, Union
 
-from .classes import check_class_id, class_spec, generate
+from .classes import check_class_id, class_spec
 from .errors import UnsupportedLengthError
-from .fib import fib_number, fib_stat
-from .perms import inversions
+from .fib import fib_number
 
 STATS = ("inv", "fib", "joint")
 VARIANTS = ("paper", "corrected")
@@ -225,8 +224,8 @@ def distribution_formula(
 
 
 def distribution_oracle(class_id: str, n: int, stat: str) -> dict[DistKey, int]:
-    """Enumerated distribution over the length-n members; joint keys are
-    (fib, inv) pairs.  Keys come out sorted.
+    """Enumerated distribution over the length-n members, folded from the
+    cached G_n; joint keys are its (fib, inv) exponents.  Keys come out sorted.
 
     >>> distribution_oracle("A1", 4, "inv")
     {0: 1, 1: 3, 2: 1, 3: 2}
@@ -235,12 +234,12 @@ def distribution_oracle(class_id: str, n: int, stat: str) -> dict[DistKey, int]:
     >>> distribution_oracle("B2", 3, "inv")
     {0: 1, 1: 2, 2: 1}
     """
+    from .genfun import genfun_oracle  # imported here: genfun imports stats
     check_stat(stat)
-    members = generate(class_id, n)
-    if stat == "inv":
-        counter = Counter(inversions(p) for p in members)
-    elif stat == "fib":
-        counter = Counter(fib_stat(p) for p in members)
-    else:
-        counter = Counter((fib_stat(p), inversions(p)) for p in members)
+    terms = genfun_oracle(class_id, n).terms()
+    if stat == "joint":
+        return dict(terms)
+    counter: Counter[int] = Counter()
+    for (k, j), c in terms:
+        counter[j if stat == "inv" else k] += c
     return dict(sorted(counter.items()))

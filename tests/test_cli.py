@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from fibperm.classes import CLASS_IDS
-from fibperm.cli import main
+from fibperm.cli import COUNT_MAX_N, FIB_MAX_N, main
 from fibperm.stats import STATS, VARIANTS
+
+from helpers import naive_fib_number
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -74,6 +76,40 @@ def test_golden_dist_formula_all(capsys):
     assert "".join(blocks) == expected
 
 
+class TestExactIntegers:
+    """Big integers print in full, past the interpreter's int-to-str digit
+    limit (4,300 digits by default), which ``main`` leaves as it found it."""
+
+    def test_fib_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["fib", "--n", "30000"]) == 0
+        text = capsys.readouterr().out
+        assert main(["fib", "--n", "30000", "--format", "json"]) == 0
+        doc = capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)  # for this test's own conversions
+        try:
+            want = naive_fib_number(30000)
+            assert len(str(want)) > 4300
+            assert text == f"{want}\n"
+            assert json.loads(doc) == {"n": 30000, "fib": want}
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_count_under_a_lowered_limit(self, capsys):
+        # F(4001) has 836 digits, more than the lowest settable limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["count", "--class", "B1", "--n-max", "4000",
+                         "--format", "json"]) == 0
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows[-1] == {"n": 4000, "count": naive_fib_number(4001) - 1}
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         assert main(["fib", "--n", "3"]) == 0
@@ -107,8 +143,15 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_size_limits_are_3(self, capsys):
-        assert main(["enumerate", "--class", "A1", "--n", "99"]) == 3
-        assert "error:" in capsys.readouterr().err
+        for argv in (
+            ["enumerate", "--class", "A1", "--n", "99"],
+            ["fib", "--n", str(FIB_MAX_N + 1)],
+            ["count", "--class", "A1", "--n-max", str(COUNT_MAX_N + 1)],
+        ):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error:" in captured.err
 
     def test_domain_errors_are_4(self, capsys):
         assert main(["map", "--bijection", "phi", "--class", "A1",

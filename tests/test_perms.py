@@ -16,6 +16,7 @@ from fibperm.fib import FIBONACCI_PATTERNS
 from fibperm.perms import (
     BRUTE_FORCE_MAX_CANDIDATES,
     BRUTE_FORCE_MAX_N,
+    _brute_force_av,
     avoids_all,
     brute_force_av,
     contains_pattern,
@@ -157,9 +158,13 @@ class TestBruteForce:
             brute_force_av(BRUTE_FORCE_MAX_N + 1, {(2, 3, 1)})
         # no permutation of length <= 10 contains 11 10 ... 1, so level 10
         # would test 9! * 10 candidates
+        _brute_force_av.cache_clear()
         with pytest.raises(SizeLimitError, match=str(BRUTE_FORCE_MAX_CANDIDATES)):
             brute_force_av(10, {tuple(range(11, 0, -1))})
         assert time.monotonic() - start < 5.0
+        # the levels built before the bound was hit (all 9! permutations of
+        # length 9 among them) are not kept
+        assert _brute_force_av.cache_info().currsize == 0
 
     def test_pattern_set_validation(self):
         with pytest.raises(UnsupportedLengthError):

@@ -3,9 +3,9 @@ from math import comb
 
 import pytest
 
-from fibperm.classes import CLASS_IDS, count, generate
+from fibperm.classes import CLASS_IDS, count, generate, patterns_of
 from fibperm.fib import fib_number, tiling_to_perm, tilings
-from fibperm.perms import inversions
+from fibperm.perms import brute_force_av, inversions
 from fibperm.stats import (
     binomial,
     distribution_formula,
@@ -16,6 +16,8 @@ from fibperm.stats import (
     inv_distribution_formula,
     joint_distribution_formula,
 )
+
+from helpers import naive_fib_stat, naive_inversions
 
 
 class TestBinomial:
@@ -63,6 +65,23 @@ class TestOracle:
                     inv_marginal[j] += c
                 assert dict(fib_marginal) == distribution_oracle(cls, n, "fib")
                 assert dict(inv_marginal) == distribution_oracle(cls, n, "inv")
+
+    def test_matches_naive_tabulation(self):
+        # the oracle folds G_n, which generate, fib_stat and inversions
+        # build; this tally shares no code with any of them
+        for cls in CLASS_IDS:
+            for n in range(1, 9):
+                members = brute_force_av(n, patterns_of(cls))
+                pairs = [(naive_fib_stat(p), naive_inversions(p)) for p in members]
+                want = {
+                    "inv": Counter(j for _, j in pairs),
+                    "fib": Counter(k for k, _ in pairs),
+                    "joint": Counter(pairs),
+                }
+                for stat, tally in want.items():
+                    got = distribution_oracle(cls, n, stat)
+                    assert got == dict(tally), (cls, n, stat)
+                    assert list(got) == sorted(got), (cls, n, stat)
 
     def test_validation(self):
         with pytest.raises(ValueError):
