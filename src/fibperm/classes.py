@@ -36,7 +36,6 @@ from .fib import fib_number, fib_permutations, is_fibonacci
 from .perms import (
     Perm,
     PatternSet,
-    avoids_all,
     make_pattern_set,
     make_permutation,
     standardize,
@@ -211,6 +210,12 @@ def decompose(class_id: str, perm: Sequence[int]):
     """Parse a member into its shape record (ADecomposition or
     BDecomposition); non-members raise NotInClassError.
 
+    This is the structure theorem read as an O(n) membership test: a
+    permutation is a member exactly when it is a Fibonacci permutation
+    (A-type) or ``spec.head(l)`` followed by a Fibonacci permutation of the
+    top values.  No pattern is tested here; the avoided patterns serve only
+    the ``brute_force_av`` oracle, which checks this parse.
+
     >>> decompose("A1", (1, 4, 3, 2, 6, 5))
     ADecomposition(incr_len=1, core_present=True, tau=(2, 1))
     >>> decompose("B1", (3, 2, 1, 5, 4, 6, 7))
@@ -218,8 +223,6 @@ def decompose(class_id: str, perm: Sequence[int]):
     """
     spec = class_spec(class_id)
     p = make_permutation(perm)
-    if not avoids_all(p, spec.patterns):
-        raise NotInClassError(f"{p} contains a forbidden pattern of {class_id}")
     if spec.kind == "A":
         if is_fibonacci(p):
             return ADecomposition(incr_len=0, core_present=False, tau=p)

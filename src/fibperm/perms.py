@@ -43,7 +43,6 @@ __all__ = [
     "make_pattern_set",
     "standardize",
     "contains_pattern",
-    "avoids_all",
     "direct_sum",
     "skew_sum",
     "inversions",
@@ -157,21 +156,6 @@ def contains_pattern(perm: Sequence[int], pattern: Perm) -> bool:
     return extend(0, 0)
 
 
-@lru_cache(maxsize=None)
-def _check_order(patterns: PatternSet) -> tuple[Perm, ...]:
-    # shortest patterns first: they are the cheapest to rule out
-    return tuple(sorted(patterns, key=lambda p: (len(p), p)))
-
-
-def avoids_all(perm: Sequence[int], patterns: Iterable[Perm]) -> bool:
-    """Whether *perm* contains none of the given patterns.
-
-    >>> avoids_all((3, 2, 1), [(2, 3, 1), (3, 1, 2)])
-    True
-    """
-    return not any(contains_pattern(perm, p) for p in _check_order(frozenset(patterns)))
-
-
 def direct_sum(alpha: Sequence[int], beta: Sequence[int]) -> Perm:
     """Place *beta*, shifted up, after *alpha*.
 
@@ -251,8 +235,10 @@ def brute_force_av(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
         raise SizeLimitError(
             f"brute force is capped at n = {BRUTE_FORCE_MAX_N}; got {n}"
         )
+    # shortest patterns first: they are the cheapest to rule out
+    order = tuple(sorted(make_pattern_set(patterns), key=lambda p: (len(p), p)))
     try:
-        return list(_brute_force_av(n, _check_order(make_pattern_set(patterns))))
+        return list(_brute_force_av(n, order))
     except SizeLimitError:
         # the levels built before the bound was hit can hold 9! permutations
         _brute_force_av.cache_clear()

@@ -166,7 +166,9 @@ def _bounds(class_id, variant, n_max, m_max) -> SimpleNamespace:
     """Every bound the case streams and the range strings use."""
     n_gen = min(n_max, GENERATE_MAX_N)
     n_scalar = max(_SCALAR_MIN_RANGE, n_max)
-    n_add = max(n_max, 2)
+    # m, n >= 2 and m + n <= GENERATE_MAX_N, so neither part exceeds this
+    add_max = GENERATE_MAX_N - 2
+    n_add = min(max(n_max, 2), add_max)
     return SimpleNamespace(
         n_gen=n_gen,
         n_brute=min(n_gen, BRUTE_FORCE_MAX_N),
@@ -175,7 +177,7 @@ def _bounds(class_id, variant, n_max, m_max) -> SimpleNamespace:
         n_scalar=n_scalar,
         n_fib_enum=min(n_scalar, _FIB_ENUM_MAX_N),
         n_add=n_add,
-        m_add=max(n_add if m_max is None else m_max, 2),
+        m_add=min(max(n_add if m_max is None else m_max, 2), add_max),
         mn_max=GENERATE_MAX_N,
         # the stated forms: eq1 sums from k = 1, the G_n recurrence holds from n = 2
         sum_start=1 if variant == "paper" else 0,

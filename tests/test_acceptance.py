@@ -86,7 +86,7 @@ def test_criterion_3_bijections():
         assert phi("A1", (1, 4, 3, 2, 6, 5)) == "dmdd"
         assert rho("B1", (3, 2, 1, 5, 4, 6, 7)) == "mmddmm"
         assert rho("B1", (1, 2, 3, 5, 4, 7, 6)) == "dmmdd"
-        for n in range(1, 10):
+        for n in range(1, 13):
             all_words = set(tilings(n + 1))
             for cls in A_CLASSES:
                 words = set()

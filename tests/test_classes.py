@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from fibperm.classes import (
@@ -162,6 +164,20 @@ class TestDecompose:
             decompose("B2", (3, 1, 2))
         with pytest.raises(NotInClassError):
             decompose("A1", (4, 3, 2, 1))
+
+    def test_rejects_exactly_the_non_avoiders(self):
+        # decompose tests no pattern: the shape parse alone must agree with
+        # the avoidance oracle on every permutation
+        for cls in CLASS_IDS:
+            for n in range(1, 8):
+                members = set(brute_force_av(n, patterns_of(cls)))
+                for perm in permutations(range(1, n + 1)):
+                    try:
+                        decompose(cls, perm)
+                        accepted = True
+                    except NotInClassError:
+                        accepted = False
+                    assert accepted == (perm in members), (cls, perm)
 
     def test_empty_b_is_out_of_scope(self):
         with pytest.raises(UnsupportedLengthError):

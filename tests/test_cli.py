@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from fibperm.classes import CLASS_IDS
+from fibperm.classes import CLASS_IDS, class_spec
 from fibperm.cli import COUNT_MAX_N, FIB_MAX_N, main
+from fibperm.fib import tiling_cells
+from fibperm.perms import format_permutation
 from fibperm.stats import STATS, VARIANTS
 
 from helpers import naive_fib_number
@@ -167,6 +170,37 @@ class TestExitCodes:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("fibperm ")
+
+
+class TestLongMembers:
+    # decompose is a linear shape parse, so map takes members far past any
+    # enumerable length
+    N = 10**5
+
+    @pytest.mark.parametrize(
+        "class_id, bijection, head_length",
+        [("A1", "phi", N - 2), ("B1", "rho", N // 2)],
+        ids=["A1-core-near-the-end", "B1-long-pre-part"],
+    )
+    def test_map_round_trips_in_linear_time(
+        self, class_id, bijection, head_length, capsys
+    ):
+        # the tail is dominoes 2 1 4 3 ..., a Fibonacci permutation
+        tail_length = self.N - head_length
+        tail = tuple(v + (1 if v % 2 else -1) for v in range(1, tail_length + 1))
+        member = class_spec(class_id).build(head_length, tail)
+        text = format_permutation(member)
+        start = time.monotonic()
+        code = main(["map", "--bijection", bijection, "--class", class_id,
+                     "--perm", text])
+        elapsed = time.monotonic() - start
+        word = capsys.readouterr().out.strip()
+        assert code == 0
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+        assert tiling_cells(word) == self.N + 1
+        assert main(["map", "--bijection", bijection, "--class", class_id,
+                     "--inverse", "--tiling", word]) == 0
+        assert capsys.readouterr().out == text + "\n"
 
 
 class TestVerifyCommand:

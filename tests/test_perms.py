@@ -17,7 +17,6 @@ from fibperm.perms import (
     BRUTE_FORCE_MAX_CANDIDATES,
     BRUTE_FORCE_MAX_N,
     _brute_force_av,
-    avoids_all,
     brute_force_av,
     contains_pattern,
     direct_sum,
@@ -30,7 +29,6 @@ from fibperm.perms import (
     standardize,
 )
 from helpers import (
-    naive_avoids_all,
     naive_brute_force_av,
     naive_contains,
     naive_inversions,
@@ -120,10 +118,22 @@ class TestContainment:
     def test_matches_naive(self, perm, pattern):
         assert contains_pattern(perm, pattern) == naive_contains(perm, pattern)
 
-    @given(permutations_up_to(7))
-    def test_avoids_all_matches_naive(self, perm):
-        pats = make_pattern_set([(2, 3, 1), (3, 1, 2), (1, 4, 3, 2)])
-        assert avoids_all(perm, pats) == naive_avoids_all(perm, pats)
+    def test_class_patterns_exhaustively(self):
+        """Exhaustive over a range chosen for suite time: every permutation
+        of length <= 6 against the 9 class and Fibonacci patterns (7,866
+        pairs), and every permutation of length 7 against the two length-5
+        patterns (10,080 pairs), which the sampled test above never draws."""
+        patterns = sorted(
+            FIBONACCI_PATTERNS.union(*(patterns_of(cls) for cls in CLASS_IDS))
+        )
+        assert len(patterns) == 9
+        for n in range(8):
+            checked = patterns if n <= 6 else [p for p in patterns if len(p) == 5]
+            for perm in permutations(range(1, n + 1)):
+                for pattern in checked:
+                    assert contains_pattern(perm, pattern) == naive_contains(
+                        perm, pattern
+                    ), (perm, pattern)
 
 
 class TestBruteForce:

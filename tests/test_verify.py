@@ -5,6 +5,7 @@ import pytest
 from fibperm import verify
 from fibperm.classes import CLASS_IDS
 from fibperm.errors import UnknownIdentityError
+from fibperm.fib import is_fibonacci
 from fibperm.verify import (
     CORRECTIONS,
     IDENTITY_IDS,
@@ -112,6 +113,28 @@ class TestCheckIdentity:
         with pytest.raises(UnknownIdentityError):
             run_verification(["gf-product"], n_max=3)
 
+    def test_gf_addition_stops_at_the_real_bound(self, monkeypatch):
+        # m, n >= 2 and m + n <= 26 leave m <= 24 whatever --m-max says.  The
+        # G_n oracle is stubbed: a real run builds G_26, about 9 s per class.
+        visited = []
+        monkeypatch.setattr(verify, "genfun_oracle", lambda class_id, n: n)
+
+        def addition(class_id, m, n, variant):
+            visited.append((m, n))
+            return m + n
+
+        monkeypatch.setattr(verify, "genfun_addition", addition)
+        report = check_identity(
+            "gf-addition", "corrected", class_id="A1", n_max=9, m_max=10**9
+        )
+        assert report.status == "pass"
+        assert report.parameter_range == "2 <= m <= 24, 2 <= n <= 9, m+n <= 26"
+        assert visited == [
+            (m, n) for m in range(2, 25) for n in range(2, 10) if m + n <= 26
+        ]
+        report = check_identity("gf-addition", "corrected", class_id="A1", n_max=3000)
+        assert report.parameter_range == "2 <= m <= 24, 2 <= n <= 24, m+n <= 26"
+
     def test_variant_validation(self):
         with pytest.raises(ValueError):
             check_identity("eq1", "folk")
@@ -135,6 +158,21 @@ class TestStructureOracle:
             verify._first_undecomposable_nonmember.cache_clear()
         assert report.status == "fail"
         assert report.notes == f"non-member {bad} was not rejected by decompose"
+
+    def test_catches_a_fault_in_the_shape_parse(self, monkeypatch):
+        # decompose tests no pattern, so a tail check that wrongly accepts
+        # 2 3 1 lets the B1 non-member 1 3 4 2 (head 1, tail 2 3 1) through
+        monkeypatch.setattr(
+            "fibperm.classes.is_fibonacci",
+            lambda p: tuple(p) == (2, 3, 1) or is_fibonacci(p),
+        )
+        verify._first_undecomposable_nonmember.cache_clear()
+        try:
+            report = check_identity("structure-oracle", "corrected", class_id="B1", n_max=6)
+        finally:
+            verify._first_undecomposable_nonmember.cache_clear()
+        assert report.status == "fail"
+        assert report.notes == "non-member (1, 3, 4, 2) was not rejected by decompose"
 
 
 class TestFullRun:
