@@ -63,6 +63,30 @@ def test_golden(name, capsys):
     assert captured.out == expected
 
 
+# verify runs whose stdout is the .txt golden, whose --report markdown is the
+# .md golden and whose report twin is the named JSON golden
+VERIFY_REPORT_CASES = {
+    "verify_n6": (["verify", "--n-max", "6"], 0, "verify_all.json"),
+    "verify_n6_paper": (
+        ["verify", "--n-max", "6", "--variants", "paper"], 1, "verify_n6_paper.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_REPORT_CASES))
+def test_golden_verify_report(name, tmp_path, capsys):
+    argv, expected_code, twin = VERIFY_REPORT_CASES[name]
+    target = tmp_path / "report.md"
+    assert main(argv + ["--report", str(target)]) == expected_code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    for path, golden in ((target, f"{name}.md"), (tmp_path / "report.json", twin)):
+        assert path.read_text(encoding="utf-8") == (
+            GOLDEN_DIR / golden
+        ).read_text(encoding="utf-8")
+
+
 def test_golden_dist_formula_all(capsys):
     # every class x stat x variant of the closed forms at n = 5, one block each
     blocks = []
