@@ -206,6 +206,13 @@ def generate(class_id: str, n: int) -> list[Perm]:
     return members
 
 
+def _not_in_class(p: Perm, reason: str) -> NotInClassError:
+    """The error for a non-member; it shows at most the first 8 values, so
+    its message stays short at any length."""
+    shown = ", ".join(map(str, p[:8])) + (", ..." if len(p) > 8 else "")
+    return NotInClassError(f"({shown}) of length {len(p)} {reason}")
+
+
 def decompose(class_id: str, perm: Sequence[int]):
     """Parse a member into its shape record (ADecomposition or
     BDecomposition); non-members raise NotInClassError.
@@ -230,7 +237,7 @@ def decompose(class_id: str, perm: Sequence[int]):
         windows = (p[j : j + 3] for j in range(len(p) - 2))
         core_at = next((j for j, w in enumerate(windows) if w == spec.shape(min(w))), None)
         if core_at is None:
-            raise NotInClassError(f"{p} has no {class_id} core")
+            raise _not_in_class(p, f"has no {class_id} core")
         head_length = core_at + 3
     elif not p:
         raise UnsupportedLengthError("the empty permutation has no pre-part")
@@ -238,7 +245,7 @@ def decompose(class_id: str, perm: Sequence[int]):
         head_length = p.index(1) + 1
     tail = standardize(p[head_length:])
     if p[:head_length] != spec.head(head_length) or not is_fibonacci(tail):
-        raise NotInClassError(f"{p} does not fit the {class_id} shape")
+        raise _not_in_class(p, f"does not fit the {class_id} shape")
     if spec.kind == "A":
         return ADecomposition(incr_len=core_at, core_present=True, tau=tail)
     return BDecomposition(pre_len=head_length, sigma=tail)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: count, enumerate, dist, genfun, map, fib, verify.  Every
-subcommand takes ``--format text|json``; output is byte-deterministic
-(``verify --stamp`` is the one opt-in exception).
+subcommand takes ``--format text|json`` and prints through ``_emit``, the
+one place that reads it; output is byte-deterministic (``verify --stamp``
+is the one opt-in exception).
 
 Exit codes: 0 success (for ``verify``: every identity resolved), 1
 verification failure, 2 usage error, 3 size cap exceeded, 4 invalid input.
@@ -16,7 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .classes import CLASS_IDS, count, generate
@@ -174,36 +175,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_count(args) -> int:
-    _check_cap("--n-max", args.n_max, COUNT_MAX_N)
-    rows = [(n, count(args.class_id, n)) for n in range(1, args.n_max + 1)]
+def _emit(args, payload: dict, text: Callable[[], Iterable]) -> None:
+    """Print ``payload`` as JSON under ``--format json``, else each line of
+    ``text()``.  Both print with the digit limit lifted, so exact big
+    integers print in full."""
     with _exact_int_output():
         if args.format == "json":
-            _emit_json(
-                {
-                    "class": args.class_id,
-                    "rows": [{"n": n, "count": c} for n, c in rows],
-                }
-            )
+            _emit_json(payload)
         else:
-            for n, c in rows:
-                print(f"{n} {c}")
+            for line in text():
+                print(line)
+
+
+def _row_lines(rows: list[dict]) -> Iterator[str]:
+    """One text line per JSON row: its values, space-separated."""
+    return (" ".join(map(str, row.values())) for row in rows)
+
+
+def cmd_count(args) -> int:
+    _check_cap("--n-max", args.n_max, COUNT_MAX_N)
+    rows = [{"n": n, "count": count(args.class_id, n)} for n in range(1, args.n_max + 1)]
+    _emit(args, {"class": args.class_id, "rows": rows}, lambda: _row_lines(rows))
     return 0
 
 
 def cmd_enumerate(args) -> int:
     members = generate(args.class_id, args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "class": args.class_id,
-                "n": args.n,
-                "members": [list(p) for p in members],
-            }
-        )
-    else:
-        for p in members:
-            print(format_permutation(p))
+    _emit(
+        args,
+        {"class": args.class_id, "n": args.n, "members": members},
+        lambda: map(format_permutation, members),
+    )
     return 0
 
 
@@ -215,29 +217,19 @@ def cmd_dist(args) -> int:
         pairs = distribution_formula(args.class_id, args.n, args.stat, args.variant)
         dist = {key: value for key, value in pairs if value}
         variant = args.variant
-    if args.format == "json":
-        if args.stat == "joint":
-            entries = [
-                {"fib": k, "inv": j, "count": c} for (k, j), c in sorted(dist.items())
-            ]
-        else:
-            entries = [{"k": k, "count": c} for k, c in sorted(dist.items())]
-        _emit_json(
-            {
-                "class": args.class_id,
-                "n": args.n,
-                "stat": args.stat,
-                "source": args.source,
-                "variant": variant,
-                "distribution": entries,
-            }
-        )
+    if args.stat == "joint":
+        rows = [{"fib": k, "inv": j, "count": c} for (k, j), c in sorted(dist.items())]
     else:
-        for key, c in sorted(dist.items()):
-            if args.stat == "joint":
-                print(f"{key[0]} {key[1]} {c}")
-            else:
-                print(f"{key} {c}")
+        rows = [{"k": k, "count": c} for k, c in sorted(dist.items())]
+    payload = {
+        "class": args.class_id,
+        "n": args.n,
+        "stat": args.stat,
+        "source": args.source,
+        "variant": variant,
+        "distribution": rows,
+    }
+    _emit(args, payload, lambda: _row_lines(rows))
     return 0
 
 
@@ -249,22 +241,17 @@ def cmd_genfun(args) -> int:
         poly = genfun_recurrence(args.class_id, args.n)
     else:
         poly = genfun_closed(args.class_id, args.n, variant)
-    if args.format == "json":
-        _emit_json(
-            {
-                "class": args.class_id,
-                "n": args.n,
-                "method": args.method,
-                "variant": variant,
-                "polynomial": str(poly),
-                "terms": [
-                    {"v": v_exp, "q": q_exp, "coeff": c}
-                    for (v_exp, q_exp), c in poly.terms()
-                ],
-            }
-        )
-    else:
-        print(poly)
+    payload = {
+        "class": args.class_id,
+        "n": args.n,
+        "method": args.method,
+        "variant": variant,
+        "polynomial": str(poly),
+        "terms": [
+            {"v": v_exp, "q": q_exp, "coeff": c} for (v_exp, q_exp), c in poly.terms()
+        ],
+    }
+    _emit(args, payload, lambda: [payload["polynomial"]])
     return 0
 
 
@@ -289,29 +276,21 @@ def cmd_map(args) -> int:
             return 2
         perm = parse_permutation(args.perm)
         word = forward(args.class_id, perm)
-    if args.format == "json":
-        _emit_json(
-            {
-                "bijection": args.bijection,
-                "class": args.class_id,
-                "direction": "inverse" if args.inverse else "forward",
-                "perm": list(perm),
-                "tiling": word,
-            }
-        )
-    else:
-        print(format_permutation(perm) if args.inverse else word)
+    payload = {
+        "bijection": args.bijection,
+        "class": args.class_id,
+        "direction": "inverse" if args.inverse else "forward",
+        "perm": perm,
+        "tiling": word,
+    }
+    _emit(args, payload, lambda: [format_permutation(perm) if args.inverse else word])
     return 0
 
 
 def cmd_fib(args) -> int:
     _check_cap("--n", args.n, FIB_MAX_N)
     value = fib_number(args.n)
-    with _exact_int_output():
-        if args.format == "json":
-            _emit_json({"n": args.n, "fib": value})
-        else:
-            print(value)
+    _emit(args, {"n": args.n, "fib": value}, lambda: [value])
     return 0
 
 
@@ -330,6 +309,7 @@ def cmd_verify(args) -> int:
         if args.stamp
         else None
     )
+    doc = to_json_doc(result, stamp=stamp)
     if args.report:
         base, ext = os.path.splitext(args.report)
         md_path = base + ".md" if ext == ".json" else args.report
@@ -337,15 +317,11 @@ def cmd_verify(args) -> int:
         with open(md_path, "w", encoding="utf-8") as handle:
             handle.write(render_markdown(result, stamp=stamp))
         with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(to_json_doc(result, stamp=stamp), handle, indent=2)
+            json.dump(doc, handle, indent=2)
             handle.write("\n")
-    if args.format == "json":
-        _emit_json(to_json_doc(result, stamp=stamp))
-    else:
-        if stamp:
-            print(f"stamp: {stamp}")
-        print(render_text(result), end="")
-    return 0 if result.resolved else 1
+    stamp_lines = [f"stamp: {stamp}"] if stamp else []
+    _emit(args, doc, lambda: stamp_lines + render_text(result).splitlines())
+    return 0 if doc["resolved"] else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

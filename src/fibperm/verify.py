@@ -14,12 +14,15 @@ A verification run is *resolved* when every (identity, class) unit passes
 in at least one evaluated variant and every correction entry that was
 exercised validated.  ``render_text``, ``render_markdown`` and
 ``to_json_doc`` serialize a run deterministically (no timestamps unless an
-explicit stamp is passed).
+explicit stamp is passed).  They share one formatter for what a failing
+report found, one unit label, one tuple of correction fields and one
+builder of the unresolved and registry-problem lines.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -509,8 +512,9 @@ def _family(identity_id: str) -> IdentityFamily:
     return family
 
 
-def _unit_label(identity_id: str, class_id: Optional[str]) -> str:
-    return identity_id + (f"/{class_id}" if class_id else "")
+def _unit_label(identity_id: str, class_id: Optional[str], form: str = "/{}") -> str:
+    """``eq1``, ``gf-closed/B1``; markdown headings pass ``form=" ({})"``."""
+    return identity_id + (form.format(class_id) if class_id else "")
 
 
 def _resolved(by_variant: dict[str, "IdentityReport"]) -> bool:
@@ -717,7 +721,8 @@ def run_verification(
     variants: tuple[str, ...] = VARIANTS,
     jobs: int = 1,
 ) -> VerificationResult:
-    """Evaluate identities (all 13 by default) over both variants."""
+    """Evaluate identities (all 13 by default) over both variants, in at
+    most ``jobs`` worker processes (never more than units or CPUs)."""
     if identity_ids is None or identity_ids == "all" or identity_ids == ["all"]:
         identity_ids = IDENTITY_IDS
     families = [_family(identity_id) for identity_id in identity_ids]
@@ -731,11 +736,14 @@ def run_verification(
         for class_id in (CLASS_IDS if family.per_class else (None,))
         for variant in ordered_variants
     ]
-    if jobs > 1:
+    # the pool starts all its workers up front, so it gets no more of them
+    # than there are units or CPUs to keep busy
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it costs a noticeable share of the CLI's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = tuple(pool.map(_run_unit, specs))
     else:
         reports = tuple(_run_unit(spec) for spec in specs)
@@ -748,14 +756,24 @@ def run_verification(
 # rendering
 
 
-def _mismatch_text(mismatch: Optional[dict]) -> str:
+def _found(report: IdentityReport) -> str:
+    """What a non-passing report found: its first mismatch, else its note."""
+    mismatch = report.first_mismatch
     if not mismatch:
-        return ""
+        return report.notes
     parts = ", ".join(f"{k}={v}" for k, v in mismatch["parameters"].items())
     if "exponent" in mismatch:
         e = mismatch["exponent"]
         parts += f" at v^{e['v']}*q^{e['q']}"
-    return f"{parts}: lhs {mismatch['lhs']}, rhs {mismatch['rhs']}"
+    return f"first mismatch {parts}: lhs {mismatch['lhs']}, rhs {mismatch['rhs']}"
+
+
+def _outcome_lines(result: VerificationResult, prefix: str) -> tuple[list[str], list[str]]:
+    """The run's unresolved-unit lines and registry-problem lines."""
+    return (
+        [f"{prefix}unresolved: {_unit_label(*key)}" for key in result.unresolved_units()],
+        [f"{prefix}registry problem: {problem}" for problem in result.registry_problems()],
+    )
 
 
 def render_text(result: VerificationResult) -> str:
@@ -764,35 +782,25 @@ def render_text(result: VerificationResult) -> str:
     lines = [header, "-" * len(header)]
     for r in result.reports:
         detail = r.parameter_range
-        if r.first_mismatch:
-            detail += f"  [first mismatch {_mismatch_text(r.first_mismatch)}]"
-        elif r.status == "not-evaluable":
-            detail += f"  [{r.notes}]"
+        if r.status != "pass":
+            detail += f"  [{_found(r)}]"
         lines.append(
             f"{r.identity_id:<16} {r.class_id or '-':<5} {r.variant:<9} "
             f"{r.status:<13} {detail}"
         )
     units = result.units()
-    unresolved = result.unresolved_units()
-    problems = result.registry_problems()
-    lines.append("")
-    lines.append(
+    unresolved, problems = _outcome_lines(result, "  ")
+    lines += [
+        "",
         f"units: {len(units)}; resolved: {len(units) - len(unresolved)}; "
-        f"unresolved: {len(unresolved)}"
-    )
-    for key in unresolved:
-        lines.append(f"  unresolved: {_unit_label(*key)}")
-    lines.append(
+        f"unresolved: {len(unresolved)}",
+        *unresolved,
         f"corrections registry: {len(CORRECTIONS)} entries"
-        + ("; all exercised entries validated" if not problems else "")
-    )
-    for problem in problems:
-        lines.append(f"  registry problem: {problem}")
-    lines.append(
-        "overall: "
-        + ("PASS (every unit passes in at least one evaluated variant)"
-           if result.resolved else "FAIL")
-    )
+        + ("" if problems else "; all exercised entries validated"),
+        *problems,
+        "overall: " + ("FAIL" if unresolved or problems else
+                       "PASS (every unit passes in at least one evaluated variant)"),
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -801,12 +809,12 @@ def _unit_sort_key(key: tuple[str, Optional[str]]):
     return (IDENTITY_IDS.index(identity_id), class_id or "")
 
 
+# the Correction fields a report spells out, in order
+_CORRECTION_FIELDS = ("change", "reason", "counterexample")
+
+
 def _correction_lines(corr: Correction) -> list[str]:
-    return [
-        f"- change: {corr.change}",
-        f"- reason: {corr.reason}",
-        f"- counterexample: {corr.counterexample}",
-    ]
+    return [f"- {field}: {getattr(corr, field)}" for field in _CORRECTION_FIELDS]
 
 
 def render_markdown(result: VerificationResult, stamp: Optional[str] = None) -> str:
@@ -837,15 +845,12 @@ def render_markdown(result: VerificationResult, stamp: Optional[str] = None) -> 
     if not deviations:
         lines.append("None: every identity holds as stated over the checked ranges.")
     for (identity_id, class_id), paper, corrected in deviations:
-        label = identity_id + (f" ({class_id})" if class_id else "")
-        lines += [f"### {label}: {_FAMILY_BY_ID[identity_id].title}", ""]
-        if paper.first_mismatch:
-            found = f"first mismatch {_mismatch_text(paper.first_mismatch)}"
-        else:
-            found = paper.notes
-        lines.append(
-            f"- as stated: **{paper.status}** over {paper.parameter_range}; {found}"
-        )
+        lines += [
+            f"### {_unit_label(identity_id, class_id, ' ({})')}: "
+            f"{_FAMILY_BY_ID[identity_id].title}",
+            "",
+            f"- as stated: **{paper.status}** over {paper.parameter_range}; {_found(paper)}",
+        ]
         if corrected is not None:
             lines.append(
                 f"- corrected: **{corrected.status}** over {corrected.parameter_range}"
@@ -856,19 +861,17 @@ def render_markdown(result: VerificationResult, stamp: Optional[str] = None) -> 
         lines.append("")
     lines += ["## Corrections registry", ""]
     for corr in CORRECTIONS:
-        label = corr.identity_id + (f" ({corr.class_id})" if corr.class_id else "")
-        lines += [f"### {label}", ""] + _correction_lines(corr) + [""]
+        heading = _unit_label(corr.identity_id, corr.class_id, " ({})")
+        lines += [f"### {heading}", "", *_correction_lines(corr), ""]
     lines += ["## Outcome", ""]
-    if result.resolved:
+    unresolved, problems = _outcome_lines(result, "- ")
+    if unresolved or problems:
+        lines += unresolved + problems
+    else:
         lines.append(
             "All units pass in at least one evaluated variant and every "
             "exercised correction validated."
         )
-    else:
-        for key in result.unresolved_units():
-            lines.append(f"- unresolved: {_unit_label(*key)}")
-        for problem in result.registry_problems():
-            lines.append(f"- registry problem: {problem}")
     return "\n".join(lines) + "\n"
 
 
@@ -907,9 +910,7 @@ def to_json_doc(result: VerificationResult, stamp: Optional[str] = None) -> dict
             {
                 "identity": c.identity_id,
                 "class": c.class_id,
-                "change": c.change,
-                "reason": c.reason,
-                "counterexample": c.counterexample,
+                **{field: getattr(c, field) for field in _CORRECTION_FIELDS},
             }
             for c in CORRECTIONS
         ],

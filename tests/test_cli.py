@@ -226,6 +226,14 @@ class TestLongMembers:
                      "--inverse", "--tiling", word]) == 0
         assert capsys.readouterr().out == text + "\n"
 
+    def test_non_member_error_stays_short(self, capsys):
+        perm = "2 3 1 " + " ".join(map(str, range(4, self.N + 1)))
+        assert main(["map", "--bijection", "phi", "--class", "A1", "--perm", perm]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: (2, 3, 1, 4, ")
+        assert len(captured.err.encode()) < 300
+
 
 class TestVerifyCommand:
     def test_report_twin_files(self, tmp_path, capsys):
@@ -272,3 +280,32 @@ class TestVerifyCommand:
               "--jobs", "2"])
         parallel = capsys.readouterr().out
         assert parallel == sequential
+
+
+# run in a fresh interpreter: installing the tracer rebinds fibperm's functions
+_LAYER_TRACE_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import layertrace, worker
+tracer = layertrace.Tracer().install()  # resolves every (module, attr) in LAYERS
+tracer.reset(tuple(worker.CACHED.values()))  # reads each cache_info()
+code = tracer.modules["cli"].main(["verify", "--identity", "eq1", "--n-max", "3"])
+hit_ratios = [tracer.hit_ratio(*key) for key in worker.CACHED.values()]
+print(json.dumps({"code": code, "calls": tracer.calls, "hit_ratios": hit_ratios}))
+"""
+
+
+def test_layer_trace_binds_every_layer():
+    # bench/layertrace.py finds what it wraps by module and name, so a
+    # renamed function would break the bench's --trace 1 runs
+    root = Path(__file__).parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", _LAYER_TRACE_SCRIPT, str(root / "bench"), str(root / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert len(result["hit_ratios"]) == 3
+    assert result["calls"]["cli.render"] >= 1
+    assert result["calls"]["verify.eq1"] == 2  # check_identity, counted per identity

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -208,6 +209,42 @@ class TestFullRun:
         parallel = run_verification(None, n_max=7, jobs=2)
         assert parallel.reports == full_run.reports
 
+    @pytest.mark.parametrize(
+        "identity_ids, jobs, cpus, pool_sizes",
+        [
+            (["eq1"], 100_000, 8, [2]),  # two units
+            (["eq1", "a_n-recurrence"], 100_000, 3, [3]),  # three CPUs
+            (["eq1"], 100_000, 1, []),  # one CPU: no pool
+            (["eq1"], 100_000, None, []),  # CPU count unknown: no pool
+            (["eq1"], 1, 8, []),  # --jobs 1: no pool
+        ],
+    )
+    def test_pool_is_bounded_by_units_and_cpus(
+        self, monkeypatch, identity_ids, jobs, cpus, pool_sizes
+    ):
+        # the stub records the pool size and maps serially, so no process
+        # is started whatever --jobs asks for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        result = run_verification(identity_ids, n_max=3, jobs=jobs)
+        assert sizes == pool_sizes
+        assert result == run_verification(identity_ids, n_max=3)
+
     def test_paper_only_is_unresolved(self):
         result = run_verification(None, n_max=5, variants=("paper",))
         assert not result.resolved
@@ -275,3 +312,23 @@ class TestRendering:
         assert doc["parameters"]["n_max"] == 7
         assert len(doc["reports"]) == 80
         assert len(doc["corrections"]) == len(CORRECTIONS)
+
+    def test_registry_problem_is_reported(self):
+        # eq1 passes as stated, so the unit resolves, but its registered
+        # correction fails: the run is unresolved through the registry alone
+        mismatch = {"parameters": {"n": 0}, "lhs": 1, "rhs": 2}
+        reports = tuple(
+            verify.IdentityReport("eq1", None, variant, "0 <= n <= 3", status, found, "")
+            for variant, status, found in (("paper", "pass", None),
+                                           ("corrected", "fail", mismatch))
+        )
+        result = verify.VerificationResult(
+            n_max=3, m_max=None, variants=("paper", "corrected"), reports=reports
+        )
+        assert result.unresolved_units() == []
+        problem = "registry problem: correction for eq1 did not validate: corrected variant fail"
+        text = render_text(result)
+        assert f"\n  {problem}\n" in text
+        assert "overall: FAIL" in text
+        assert f"\n- {problem}\n" in render_markdown(result)
+        assert to_json_doc(result)["resolved"] is False
