@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from .classes import (
     CLASS_IDS,
-    ADecomposition,
-    BDecomposition,
+    Decomposition,
     compose,
     count,
     decompose,
@@ -53,8 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "CLASS_IDS",
-    "ADecomposition",
-    "BDecomposition",
+    "Decomposition",
     "brute_force_av",
     "compose",
     "contains_pattern",

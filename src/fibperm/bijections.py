@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .classes import CLASS_IDS, class_spec, decompose
-from .errors import ExcludedTilingError
-from .fib import parse_tiling, perm_to_tiling, tiling_to_perm
+from .errors import DomainError, ExcludedTilingError
+from .fib import parse_tiling, perm_to_tiling, tiling_cells, tiling_to_perm
 from .perms import Perm
 
 __all__ = ["phi", "phi_inverse", "rho", "rho_inverse", "tiling_bijection",
@@ -52,7 +52,17 @@ def bijection_domain(name: str) -> tuple[str, ...]:
 def _check_domain(name: str, class_id: str) -> None:
     if class_id not in CLASS_IDS or tiling_bijection(class_id)[0] != name:
         domain = bijection_domain(name)
-        raise ValueError(f"{name} is defined on {domain}; got {class_id!r}")
+        raise DomainError(f"{name} is defined on {domain}; got {class_id!r}")
+
+
+def _excluded(name: str, word: str) -> ExcludedTilingError:
+    """The error for the one word outside *name*'s image; it shows at most
+    the first 8 tiles, so its message stays short at any length."""
+    shown = word[:8] + ("..." if len(word) > 8 else "")
+    return ExcludedTilingError(
+        f"{shown!r} of {tiling_cells(word)} cells is the one word of its size "
+        f"outside the image of {name}"
+    )
 
 
 def phi(class_id: str, perm: Sequence[int]) -> str:
@@ -65,11 +75,11 @@ def phi(class_id: str, perm: Sequence[int]) -> str:
     """
     _check_domain("phi", class_id)
     dec = decompose(class_id, perm)
-    if not dec.core_present:
-        return "m" + perm_to_tiling(dec.tau)
+    if not dec.head_length:
+        return "m" + perm_to_tiling(dec.tail)
     # deleting the smallest core value leaves an increasing run, a domino,
-    # then the tail: m^incr_len d <tail word>
-    return "d" + "m" * dec.incr_len + "d" + perm_to_tiling(dec.tau)
+    # then the tail: m^(head_length - 3) d <tail word>
+    return "d" + "m" * (dec.head_length - 3) + "d" + perm_to_tiling(dec.tail)
 
 
 def phi_inverse(class_id: str, word: str) -> Perm:
@@ -84,9 +94,7 @@ def phi_inverse(class_id: str, word: str) -> Perm:
     if head == "m":
         return tiling_to_perm(rest)
     if "d" not in rest:
-        raise ExcludedTilingError(
-            f"{w!r} is the one word of its size outside the image of phi"
-        )
+        raise _excluded("phi", w)
     i = rest.index("d")  # monominoes before the first domino: the prefix
     return class_spec(class_id).build(i + 3, tiling_to_perm(rest[i + 1 :]))
 
@@ -101,7 +109,7 @@ def rho(class_id: str, perm: Sequence[int]) -> str:
     """
     _check_domain("rho", class_id)
     dec = decompose(class_id, perm)
-    return "m" * (dec.pre_len - 1) + "d" + perm_to_tiling(dec.sigma)
+    return "m" * (dec.head_length - 1) + "d" + perm_to_tiling(dec.tail)
 
 
 def rho_inverse(class_id: str, word: str) -> Perm:
@@ -115,8 +123,6 @@ def rho_inverse(class_id: str, word: str) -> Perm:
     _check_domain("rho", class_id)
     w = parse_tiling(word)
     if "d" not in w:
-        raise ExcludedTilingError(
-            f"{w!r} is the one word of its size outside the image of rho"
-        )
+        raise _excluded("rho", w)
     k = w.index("d")
     return class_spec(class_id).build(k + 1, tiling_to_perm(w[k + 1 :]))

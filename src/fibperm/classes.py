@@ -7,17 +7,18 @@ Each class is named by an id:
 * ``B1`` avoids 231, 312, 1432
 * ``B2`` avoids 312, 321, 1342
 
-All four contain F(n+1) - 1 permutations of length n >= 1.  Members split
-into a Fibonacci part plus one exceptional shape:
+All four contain F(n+1) - 1 permutations of length n >= 1.  Every member is
+an exceptional head on the values 1..l followed by a Fibonacci permutation
+of the top values:
 
-* A-type members are either Fibonacci permutations, or an increasing prefix,
-  then a block on the next three consecutive values (descending for A1,
-  top-bottom-middle for A2), then a Fibonacci tail on the top values;
-* B-type members are either Fibonacci permutations, or a pre-part of length
-  l >= 3 holding the values 1..l (descending for B1; 2 3 .. l then 1 for
-  B2) followed by a Fibonacci permutation of the top values.
+* A-type heads are empty (the member is a Fibonacci permutation), or an
+  increasing prefix then a block on the next three consecutive values
+  (descending for A1, top-bottom-middle for A2);
+* B-type heads are the pre-part, ending at the value 1: 1, or 2 1, or for
+  l >= 3 the values 1..l descending (B1) or 2 3 .. l then 1 (B2).
 
-``decompose``/``compose`` convert between members and these shape records.
+``decompose``/``compose`` convert between members and these
+``Decomposition`` records.
 """
 
 from __future__ import annotations
@@ -27,19 +28,14 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import (
+    DomainError,
     InvalidDecompositionError,
     NotInClassError,
     SizeLimitError,
     UnsupportedLengthError,
 )
-from .fib import fib_number, fib_permutations, is_fibonacci
-from .perms import (
-    Perm,
-    PatternSet,
-    make_pattern_set,
-    make_permutation,
-    standardize,
-)
+from .fib import fib_number, fib_permutations, fib_stat, is_fibonacci
+from .perms import Perm, PatternSet, make_pattern_set, make_permutation
 
 # Structural generation is linear per member but the member lists themselves
 # get large; past this the closed-form count is the supported interface.
@@ -64,11 +60,14 @@ class ClassSpec:
     tail_q_exponent: Callable[[int], int]
 
     def head(self, length: int) -> Perm:
-        """The exceptional block on the values 1..length: an increasing
-        prefix then the core (A-type), or the whole pre-part (B-type)."""
-        if self.kind == "A":
-            return tuple(range(1, length - 2)) + self.shape(length - 2)
-        return self.shape(length)
+        """The exceptional block on the values 1..length: nothing or an
+        increasing prefix then the core (A-type), or the whole pre-part
+        (B-type)."""
+        if self.kind == "B":
+            return self.shape(length)
+        if not length:
+            return ()
+        return tuple(range(1, length - 2)) + self.shape(length - 2)
 
     def build(self, head_length: int, tail: Perm) -> Perm:
         """The member made of ``head(head_length)`` followed by the
@@ -105,9 +104,8 @@ __all__ = [
     "B_CLASSES",
     "CLASS_SPECS",
     "GENERATE_MAX_N",
-    "ADecomposition",
-    "BDecomposition",
     "ClassSpec",
+    "Decomposition",
     "check_class_id",
     "class_spec",
     "patterns_of",
@@ -119,13 +117,13 @@ __all__ = [
 
 
 def check_class_id(class_id: str) -> str:
-    """Return *class_id* if known, else raise ValueError.
+    """Return *class_id* if known, else raise DomainError.
 
     >>> check_class_id("B2")
     'B2'
     """
     if class_id not in CLASS_SPECS:
-        raise ValueError(f"unknown class {class_id!r}; expected one of {CLASS_IDS}")
+        raise DomainError(f"unknown class {class_id!r}; expected one of {CLASS_IDS}")
     return class_id
 
 
@@ -162,26 +160,16 @@ def count(class_id: str, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class ADecomposition:
-    """Shape record for A-type members.
+class Decomposition:
+    """Shape record of a member: ``spec.head(head_length)`` followed by the
+    Fibonacci permutation ``tail`` shifted onto the top values.
 
-    Fibonacci members have ``core_present=False``, ``incr_len=0`` and are
-    stored whole in ``tau``; the rest carry an increasing prefix of length
-    ``incr_len``, the three-value core, and the standardized Fibonacci tail.
+    ``head_length`` is 0 (a Fibonacci member) or at least 3 for A-type
+    classes, and at least 1 for B-type classes.
     """
 
-    incr_len: int
-    core_present: bool
-    tau: Perm
-
-
-@dataclass(frozen=True)
-class BDecomposition:
-    """Shape record for B-type members: pre-part length and the standardized
-    Fibonacci permutation sitting on the top values."""
-
-    pre_len: int
-    sigma: Perm
+    head_length: int
+    tail: Perm
 
 
 def generate(class_id: str, n: int) -> list[Perm]:
@@ -213,77 +201,55 @@ def _not_in_class(p: Perm, reason: str) -> NotInClassError:
     return NotInClassError(f"({shown}) of length {len(p)} {reason}")
 
 
-def decompose(class_id: str, perm: Sequence[int]):
-    """Parse a member into its shape record (ADecomposition or
-    BDecomposition); non-members raise NotInClassError.
+def decompose(class_id: str, perm: Sequence[int]) -> Decomposition:
+    """Parse a member into its shape record; non-members raise
+    NotInClassError.
 
     This is the structure theorem read as an O(n) membership test: a
-    permutation is a member exactly when it is a Fibonacci permutation
-    (A-type) or ``spec.head(l)`` followed by a Fibonacci permutation of the
-    top values.  No pattern is tested here; the avoided patterns serve only
-    the ``brute_force_av`` oracle, which checks this parse.
+    permutation is a member exactly when it is ``spec.head(l)`` followed by
+    a Fibonacci permutation of the top values.  That tail is a stage of
+    ``fib_stat``'s scan, which the A-type core stops, so an A-type head is
+    what ``fib_stat`` leaves; a B-type head ends at the value 1.  No pattern
+    is tested here; the avoided patterns serve only the ``brute_force_av``
+    oracle, which checks this parse.
 
     >>> decompose("A1", (1, 4, 3, 2, 6, 5))
-    ADecomposition(incr_len=1, core_present=True, tau=(2, 1))
+    Decomposition(head_length=4, tail=(2, 1))
+    >>> decompose("A1", (2, 1, 3))
+    Decomposition(head_length=0, tail=(2, 1, 3))
     >>> decompose("B1", (3, 2, 1, 5, 4, 6, 7))
-    BDecomposition(pre_len=3, sigma=(2, 1, 3, 4))
+    Decomposition(head_length=3, tail=(2, 1, 3, 4))
     """
     spec = class_spec(class_id)
     p = make_permutation(perm)
+    fib_len = fib_stat(p)
     if spec.kind == "A":
-        if is_fibonacci(p):
-            return ADecomposition(incr_len=0, core_present=False, tau=p)
-        # the core is the first window of three consecutive values in shape
-        windows = (p[j : j + 3] for j in range(len(p) - 2))
-        core_at = next((j for j, w in enumerate(windows) if w == spec.shape(min(w))), None)
-        if core_at is None:
-            raise _not_in_class(p, f"has no {class_id} core")
-        head_length = core_at + 3
+        head_length = len(p) - fib_len
     elif not p:
         raise UnsupportedLengthError("the empty permutation has no pre-part")
     else:
         head_length = p.index(1) + 1
-    tail = standardize(p[head_length:])
-    if p[:head_length] != spec.head(head_length) or not is_fibonacci(tail):
+    if len(p) - head_length > fib_len or p[:head_length] != spec.head(head_length):
         raise _not_in_class(p, f"does not fit the {class_id} shape")
-    if spec.kind == "A":
-        return ADecomposition(incr_len=core_at, core_present=True, tau=tail)
-    return BDecomposition(pre_len=head_length, sigma=tail)
+    return Decomposition(head_length, tuple(v - head_length for v in p[head_length:]))
 
 
-def compose(class_id: str, decomposition) -> Perm:
+def compose(class_id: str, decomposition: Decomposition) -> Perm:
     """Rebuild the member a shape record describes.
 
-    >>> compose("A2", ADecomposition(incr_len=1, core_present=True, tau=()))
+    >>> compose("A2", Decomposition(head_length=4, tail=()))
     (1, 4, 2, 3)
-    >>> compose("B1", BDecomposition(pre_len=3, sigma=(2, 1, 3, 4)))
+    >>> compose("B1", Decomposition(head_length=3, tail=(2, 1, 3, 4)))
     (3, 2, 1, 5, 4, 6, 7)
     """
     spec = class_spec(class_id)
-    if spec.kind == "A":
-        if not isinstance(decomposition, ADecomposition):
-            raise InvalidDecompositionError(
-                f"{class_id} needs an ADecomposition, got {type(decomposition).__name__}"
-            )
-        tail = make_permutation(decomposition.tau)
-        if not is_fibonacci(tail):
-            raise InvalidDecompositionError(f"tau {tail} is not a Fibonacci permutation")
-        if not decomposition.core_present:
-            if decomposition.incr_len != 0:
-                raise InvalidDecompositionError(
-                    "a coreless record is all tau; incr_len must be 0"
-                )
-            return tail
-        if decomposition.incr_len < 0:
-            raise InvalidDecompositionError(f"incr_len {decomposition.incr_len} is negative")
-        return spec.build(decomposition.incr_len + 3, tail)
-    if not isinstance(decomposition, BDecomposition):
-        raise InvalidDecompositionError(
-            f"{class_id} needs a BDecomposition, got {type(decomposition).__name__}"
-        )
-    tail = make_permutation(decomposition.sigma)
+    head_length = decomposition.head_length
+    tail = make_permutation(decomposition.tail)
     if not is_fibonacci(tail):
-        raise InvalidDecompositionError(f"sigma {tail} is not a Fibonacci permutation")
-    if decomposition.pre_len < 1:
-        raise InvalidDecompositionError(f"pre_len {decomposition.pre_len} must be at least 1")
-    return spec.build(decomposition.pre_len, tail)
+        raise InvalidDecompositionError(f"tail {tail} is not a Fibonacci permutation")
+    # an A-type head is empty or ends in the three-value core; a B-type head
+    # holds at least the value 1
+    valid = (head_length == 0 or head_length >= 3) if spec.kind == "A" else head_length >= 1
+    if not valid:
+        raise InvalidDecompositionError(f"{class_id} has no head of length {head_length}")
+    return spec.build(head_length, tail)

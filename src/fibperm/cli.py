@@ -6,7 +6,8 @@ one place that reads it; output is byte-deterministic (``verify --stamp``
 is the one opt-in exception).
 
 Exit codes: 0 success (for ``verify``: every identity resolved), 1
-verification failure, 2 usage error, 3 size cap exceeded, 4 invalid input.
+verification failure, 2 usage error, 3 size cap exceeded, 4 invalid input
+or an unwritable ``verify --report`` path.
 """
 
 from __future__ import annotations
@@ -314,11 +315,18 @@ def cmd_verify(args) -> int:
         base, ext = os.path.splitext(args.report)
         md_path = base + ".md" if ext == ".json" else args.report
         json_path = args.report if ext == ".json" else base + ".json"
-        with open(md_path, "w", encoding="utf-8") as handle:
-            handle.write(render_markdown(result, stamp=stamp))
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
+        reports = (
+            (md_path, render_markdown(result, stamp=stamp)),
+            (json_path, json.dumps(doc, indent=2) + "\n"),
+        )
+        for path, text in reports:
+            try:
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                print(f"error: cannot write report {path}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return 4
     stamp_lines = [f"stamp: {stamp}"] if stamp else []
     _emit(args, doc, lambda: stamp_lines + render_text(result).splitlines())
     return 0 if doc["resolved"] else 1
@@ -333,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (SizeLimitError, DomainError, ValueError) as exc:
+    except (SizeLimitError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeLimitError) else 4
 

@@ -4,11 +4,14 @@ Two top-level branches matter to callers:
 
 * ``SizeLimitError`` -- the request is well-formed but exceeds a hard
   enumeration cap (the CLI maps it to exit code 3);
-* ``DomainError`` -- the input itself is invalid: not a permutation, not in
-  the class, a malformed or excluded tiling, and so on (CLI exit code 4).
+* ``DomainError`` -- the input itself is invalid: an unknown class,
+  variant, statistic or identity, not a permutation, not in the class, a
+  malformed or excluded tiling, and so on (CLI exit code 4).  It is also a
+  ``ValueError``, so callers that catch ``ValueError`` still catch it.
 
 Everything derives from ``FibpermError`` so library users can catch the
-whole family at once.
+whole family at once.  The CLI catches only these two branches, so any
+other exception is a fault in fibperm, not bad input.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class SizeLimitError(FibpermError):
     """The requested size exceeds a hard enumeration cap."""
 
 
-class DomainError(FibpermError):
+class DomainError(FibpermError, ValueError):
     """The input is outside the operation's domain."""
 
 

@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, Mapping, Union
 
 from .classes import class_spec, generate
-from .errors import NotEvaluableError, UnsupportedLengthError
+from .errors import DomainError, NotEvaluableError, UnsupportedLengthError
 from .fib import fib_stat
 from .perms import inversions
 from .stats import binomial, check_variant
@@ -55,7 +55,7 @@ class Poly:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for (v_exp, q_exp), coeff in items:
                 if v_exp < 0 or q_exp < 0:
-                    raise ValueError(f"negative exponent in v^{v_exp}*q^{q_exp}")
+                    raise DomainError(f"negative exponent in v^{v_exp}*q^{q_exp}")
                 data[(v_exp, q_exp)] = data.get((v_exp, q_exp), 0) + coeff
         self._terms = {e: c for e, c in data.items() if c}
 

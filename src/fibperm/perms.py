@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
+    DomainError,
     DuplicateValueError,
     OutOfRangeValueError,
     SizeLimitError,
@@ -264,8 +265,16 @@ def parse_permutation(text: str) -> Perm:
     (2, 1, 3)
     """
     tokens = text.split()
-    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdigit():
-        values = [int(ch) for ch in tokens[0]]
-    else:
-        values = [int(tok) for tok in tokens]
-    return make_permutation(values)
+    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdecimal():
+        tokens = list(tokens[0])
+    return make_permutation([_parse_value(tok) for tok in tokens])
+
+
+def _parse_value(token: str) -> int:
+    # int() rejects non-decimal text and, past the interpreter's digit
+    # limit, decimal text too; either way name the token, shortened
+    try:
+        return int(token)
+    except ValueError:
+        shown = token[:20] + ("..." if len(token) > 20 else "")
+        raise DomainError(f"{shown!r} is not a permutation value") from None

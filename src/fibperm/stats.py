@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterator, Union
 
 from .classes import check_class_id, class_spec
-from .errors import UnsupportedLengthError
+from .errors import DomainError, UnsupportedLengthError
 from .fib import fib_number
 
 STATS = ("inv", "fib", "joint")
@@ -53,24 +53,24 @@ def binomial(a: int, b: int) -> int:
 
 
 def check_variant(variant: str) -> str:
-    """Return *variant* if known, else raise ValueError.
+    """Return *variant* if known, else raise DomainError.
 
     >>> check_variant("corrected")
     'corrected'
     """
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     return variant
 
 
 def check_stat(stat: str) -> str:
-    """Return *stat* if known, else raise ValueError.
+    """Return *stat* if known, else raise DomainError.
 
     >>> check_stat("inv")
     'inv'
     """
     if stat not in STATS:
-        raise ValueError(f"unknown statistic {stat!r}; expected one of {STATS}")
+        raise DomainError(f"unknown statistic {stat!r}; expected one of {STATS}")
     return stat
 
 

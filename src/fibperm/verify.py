@@ -44,6 +44,7 @@ from .classes import (
     patterns_of,
 )
 from .errors import (
+    DomainError,
     ExcludedTilingError,
     NotEvaluableError,
     NotInClassError,
@@ -633,10 +634,10 @@ def check_identity(
     check_variant(variant)
     if family.per_class:
         if class_id is None:
-            raise ValueError(f"identity {identity_id!r} is per-class; pass class_id")
+            raise DomainError(f"identity {identity_id!r} is per-class; pass class_id")
         check_class_id(class_id)
     elif class_id is not None:
-        raise ValueError(f"identity {identity_id!r} is global; class_id must be None")
+        raise DomainError(f"identity {identity_id!r} is global; class_id must be None")
     bounds = _bounds(class_id, variant, n_max, m_max)
     status, mismatch, note = _run_cases(family.cases(class_id, variant, bounds))
     return IdentityReport(

@@ -7,8 +7,7 @@ from fibperm.classes import (
     B_CLASSES,
     CLASS_IDS,
     CLASS_SPECS,
-    ADecomposition,
-    BDecomposition,
+    Decomposition,
     compose,
     count,
     decompose,
@@ -126,28 +125,26 @@ class TestGenerate:
 
 class TestDecompose:
     def test_frozen_a_examples(self):
-        assert decompose("A1", (1, 4, 3, 2, 6, 5)) == ADecomposition(
-            incr_len=1, core_present=True, tau=(2, 1)
+        assert decompose("A1", (1, 4, 3, 2, 6, 5)) == Decomposition(
+            head_length=4, tail=(2, 1)
         )
-        assert decompose("A2", (1, 4, 2, 3, 6, 5)) == ADecomposition(
-            incr_len=1, core_present=True, tau=(2, 1)
+        assert decompose("A2", (1, 4, 2, 3, 6, 5)) == Decomposition(
+            head_length=4, tail=(2, 1)
         )
-        assert decompose("A1", (2, 1, 4, 3, 5, 6)) == ADecomposition(
-            incr_len=0, core_present=False, tau=(2, 1, 4, 3, 5, 6)
+        assert decompose("A1", (2, 1, 4, 3, 5, 6)) == Decomposition(
+            head_length=0, tail=(2, 1, 4, 3, 5, 6)
         )
-        assert decompose("A1", ()) == ADecomposition(
-            incr_len=0, core_present=False, tau=()
-        )
+        assert decompose("A1", ()) == Decomposition(head_length=0, tail=())
 
     def test_frozen_b_examples(self):
-        assert decompose("B1", (3, 2, 1, 5, 4, 6, 7)) == BDecomposition(
-            pre_len=3, sigma=(2, 1, 3, 4)
+        assert decompose("B1", (3, 2, 1, 5, 4, 6, 7)) == Decomposition(
+            head_length=3, tail=(2, 1, 3, 4)
         )
-        assert decompose("B2", (2, 3, 1, 5, 4)) == BDecomposition(
-            pre_len=3, sigma=(2, 1)
+        assert decompose("B2", (2, 3, 1, 5, 4)) == Decomposition(
+            head_length=3, tail=(2, 1)
         )
-        assert decompose("B1", (1, 2, 3)) == BDecomposition(
-            pre_len=1, sigma=(1, 2)
+        assert decompose("B1", (1, 2, 3)) == Decomposition(
+            head_length=1, tail=(1, 2)
         )
 
     def test_round_trip_all_members(self):
@@ -187,29 +184,24 @@ class TestDecompose:
 class TestCompose:
     def test_frozen_examples(self):
         assert compose(
-            "A1", ADecomposition(incr_len=1, core_present=True, tau=(2, 1))
+            "A1", Decomposition(head_length=4, tail=(2, 1))
         ) == (1, 4, 3, 2, 6, 5)
-        assert compose("B2", BDecomposition(pre_len=4, sigma=(1, 2))) == (
+        assert compose("B2", Decomposition(head_length=4, tail=(1, 2))) == (
             2, 3, 4, 1, 5, 6,
         )
 
-    def test_wrong_record_type(self):
-        with pytest.raises(InvalidDecompositionError):
-            compose("A1", BDecomposition(pre_len=1, sigma=()))
-        with pytest.raises(InvalidDecompositionError):
-            compose("B1", ADecomposition(incr_len=0, core_present=False, tau=()))
-
     def test_invalid_fields(self):
-        # a coreless record cannot carry an increasing prefix
+        # an A-type head is empty or ends in the three-value core
+        for head_length in (1, 2):
+            with pytest.raises(InvalidDecompositionError):
+                compose("A1", Decomposition(head_length=head_length, tail=()))
+        # the tail must be a Fibonacci permutation
         with pytest.raises(InvalidDecompositionError):
-            compose("A1", ADecomposition(incr_len=2, core_present=False, tau=()))
-        # tau/sigma must be Fibonacci permutations
+            compose("A1", Decomposition(head_length=3, tail=(3, 2, 1)))
         with pytest.raises(InvalidDecompositionError):
-            compose("A1", ADecomposition(incr_len=0, core_present=True, tau=(3, 2, 1)))
+            compose("B1", Decomposition(head_length=3, tail=(2, 3, 1)))
         with pytest.raises(InvalidDecompositionError):
-            compose("B1", BDecomposition(pre_len=3, sigma=(2, 3, 1)))
-        with pytest.raises(InvalidDecompositionError):
-            compose("B1", BDecomposition(pre_len=0, sigma=(1,)))
+            compose("B1", Decomposition(head_length=0, tail=(1,)))
 
     def test_image_is_exactly_the_class(self):
         # composing every (pre-part length, Fibonacci suffix) record of
@@ -219,9 +211,9 @@ class TestCompose:
         for cls in B_CLASSES:
             for n in range(1, 8):
                 built = []
-                for pre_len in range(1, n + 1):
-                    for word in tilings(n - pre_len):
-                        sigma = tiling_to_perm(word)
-                        built.append(compose(cls, BDecomposition(pre_len, sigma)))
+                for head_length in range(1, n + 1):
+                    for word in tilings(n - head_length):
+                        tail = tiling_to_perm(word)
+                        built.append(compose(cls, Decomposition(head_length, tail)))
                 assert sorted(built) == generate(cls, n), (cls, n)
                 assert len(built) == len(set(built))

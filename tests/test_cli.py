@@ -7,11 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from fibperm.classes import CLASS_IDS, class_spec
+from fibperm.bijections import phi
+from fibperm.classes import CLASS_IDS, check_class_id, class_spec
 from fibperm.cli import COUNT_MAX_N, FIB_MAX_N, main
+from fibperm.errors import DomainError
 from fibperm.fib import tiling_cells
+from fibperm.genfun import Poly
 from fibperm.perms import format_permutation
-from fibperm.stats import STATS, VARIANTS
+from fibperm.stats import STATS, VARIANTS, check_stat, check_variant
+from fibperm.verify import check_identity
 
 from helpers import naive_fib_number
 
@@ -233,6 +237,66 @@ class TestLongMembers:
         assert captured.out == ""
         assert captured.err.startswith("error: (2, 3, 1, 4, ")
         assert len(captured.err.encode()) < 300
+
+
+
+_N = 10**5
+# argv, exit code: every bad input of the table ends in one short stderr line
+_ERROR_CASES = {
+    "excluded-phi-word": (
+        ["map", "--bijection", "phi", "--class", "A1", "--inverse",
+         "--tiling", "d" + "m" * _N], 4),
+    "excluded-rho-word": (
+        ["map", "--bijection", "rho", "--class", "B1", "--inverse",
+         "--tiling", "m" * (_N + 1)], 4),
+    "perm-letter": (["map", "--bijection", "phi", "--class", "A1", "--perm", "1 a 2"], 4),
+    "perm-superscript": (["map", "--bijection", "phi", "--class", "A1", "--perm", "1²"], 4),
+    "perm-past-digit-limit": (
+        ["map", "--bijection", "phi", "--class", "A1", "--perm", "1 " + "9" * 5000], 4),
+    "long-non-member": (
+        ["map", "--bijection", "rho", "--class", "B2",
+         "--perm", " ".join(map(str, range(_N, 0, -1)))], 4),
+    "report-in-missing-dir": (
+        ["verify", "--identity", "counts", "--n-max", "3",
+         "--report", os.path.join("no-such-dir", "r.md")], 4),
+    "paper-form-not-evaluable": (
+        ["genfun", "--class", "B2", "--n", "3", "--method", "closed",
+         "--variant", "paper"], 4),
+    "fib-past-cap": (["fib", "--n", str(FIB_MAX_N + 1)], 3),
+    "bijection-off-domain": (["map", "--bijection", "phi", "--class", "B1", "--perm", "1"], 2),
+    "unknown-class": (["count", "--class", "Z9", "--n-max", "3"], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ERROR_CASES))
+def test_error_is_one_short_line(name, tmp_path, monkeypatch, capsys):
+    # the deterministic forerunner of a generated-argv fuzz of main
+    argv, expected = _ERROR_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == expected
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.encode()) < 300
+    if not (expected == 2 and captured.err.startswith("usage: ")):
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_rejected_names_are_domain_errors():
+    # main maps only SizeLimitError and DomainError to exit codes; any other
+    # exception is a fault and must not read as bad input
+    for call in (
+        lambda: check_class_id("C1"),
+        lambda: check_variant("folk"),
+        lambda: check_stat("desc"),
+        lambda: phi("B1", (1,)),
+        lambda: Poly.monomial(1, -1, 0),
+        lambda: check_identity("counts", "paper"),
+        lambda: check_identity("eq1", "paper", class_id="A1"),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestVerifyCommand:

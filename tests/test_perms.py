@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibperm.errors import (
+    DomainError,
     DuplicateValueError,
     OutOfRangeValueError,
     SizeLimitError,
@@ -205,6 +206,17 @@ class TestTextForms:
             parse_permutation("0 1")
         with pytest.raises(ValueError):
             parse_permutation("a b")
+
+    def test_parse_names_a_bad_token(self):
+        # no int() message reaches the caller: the token is shown, shortened
+        for text, shown in (
+            ("1 a 2", "'a'"),
+            ("1²", "'1²'"),
+            ("1 " + "9" * 5000, "'" + "9" * 20 + "...'"),
+        ):
+            with pytest.raises(DomainError) as info:
+                parse_permutation(text)
+            assert str(info.value) == f"{shown} is not a permutation value"
 
     @given(permutations_up_to(8))
     def test_round_trip(self, perm):

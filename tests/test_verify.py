@@ -6,7 +6,7 @@ import pytest
 from fibperm import verify
 from fibperm.classes import CLASS_IDS
 from fibperm.errors import UnknownIdentityError
-from fibperm.fib import is_fibonacci
+from fibperm.fib import fib_stat
 from fibperm.verify import (
     CORRECTIONS,
     IDENTITY_IDS,
@@ -161,11 +161,12 @@ class TestStructureOracle:
         assert report.notes == f"non-member {bad} was not rejected by decompose"
 
     def test_catches_a_fault_in_the_shape_parse(self, monkeypatch):
-        # decompose tests no pattern, so a tail check that wrongly accepts
-        # 2 3 1 lets the B1 non-member 1 3 4 2 (head 1, tail 2 3 1) through
+        # decompose tests no pattern, so a tail check that wrongly reads a
+        # Fibonacci suffix of length 3 lets the B1 non-member 1 3 4 2 (head 1,
+        # tail 2 3 1) through
         monkeypatch.setattr(
-            "fibperm.classes.is_fibonacci",
-            lambda p: tuple(p) == (2, 3, 1) or is_fibonacci(p),
+            "fibperm.classes.fib_stat",
+            lambda p: 3 if tuple(p) == (1, 3, 4, 2) else fib_stat(p),
         )
         verify._first_undecomposable_nonmember.cache_clear()
         try:
