@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .classes import CLASS_IDS, class_spec, decompose
-from .errors import DomainError, ExcludedTilingError
+from .errors import DomainError, ExcludedTilingError, shorten
 from .fib import parse_tiling, perm_to_tiling, tiling_cells, tiling_to_perm
 from .perms import Perm
 
@@ -58,9 +58,8 @@ def _check_domain(name: str, class_id: str) -> None:
 def _excluded(name: str, word: str) -> ExcludedTilingError:
     """The error for the one word outside *name*'s image; it shows at most
     the first 8 tiles, so its message stays short at any length."""
-    shown = word[:8] + ("..." if len(word) > 8 else "")
     return ExcludedTilingError(
-        f"{shown!r} of {tiling_cells(word)} cells is the one word of its size "
+        f"{shorten(word, 8)!r} of {tiling_cells(word)} cells is the one word of its size "
         f"outside the image of {name}"
     )
 

@@ -15,15 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .classes import CLASS_IDS, count, generate
 from .bijections import bijection_domain, tiling_bijection
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, shorten
 from .fib import fib_number, parse_tiling
 from .genfun import genfun_closed, genfun_oracle, genfun_recurrence
 from .perms import format_permutation, parse_permutation
@@ -42,6 +44,24 @@ __all__ = ["main", "build_parser", "FIB_MAX_N", "COUNT_MAX_N"]
 # count --n-max 10000 prints about 10 MB.
 FIB_MAX_N = 100_000
 COUNT_MAX_N = 10_000
+
+# a quoted value in a usage error (argparse shows a value as its repr), or
+# a bare word such as an unrecognized argument
+_MESSAGE_WORD = re.compile(r"""(['"])(.*?)\1|\S+""")
+
+
+def _shorten_word(match: re.Match) -> str:
+    quote, inner = match.group(1, 2)
+    return quote + shorten(inner) + quote if quote else shorten(match.group())
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors show each value they quote
+    shortened to 20 characters; ``add_subparsers`` makes every subcommand
+    parser one too."""
+
+    def error(self, message: str):
+        super().error(_MESSAGE_WORD.sub(_shorten_word, message))
 
 
 def _positive_int(text: str) -> int:
@@ -64,7 +84,11 @@ def _emit_json(payload: dict) -> None:
 
 def _check_cap(option: str, value: int, cap: int) -> None:
     if value > cap:
-        raise SizeLimitError(f"{option} is capped at {cap}; got {value}")
+        digits = str(value)
+        shown = shorten(digits)
+        if shown != digits:
+            shown += f" ({len(digits)} digits)"
+        raise SizeLimitError(f"{option} is capped at {cap}; got {shown}")
 
 
 @contextmanager
@@ -83,7 +107,7 @@ def _exact_int_output() -> Iterator[None]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fibperm",
         description="Exact enumeration, bijections, statistics, and identity "
         "verification for four Fibonacci-counted avoidance classes.",
@@ -332,10 +356,19 @@ def cmd_verify(args) -> int:
     return 0 if doc["resolved"] else 1
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it found it, so one serves every call;
+    # build_parser is looked up at call time, so a wrapper put in its place
+    # (bench/layertrace.py) sees the one build
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.  May be called any
+    number of times in one process; every call reuses one parser."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -30,7 +30,15 @@ __all__ = [
     "NotEvaluableError",
     "UnsupportedLengthError",
     "UnknownIdentityError",
+    "shorten",
 ]
+
+
+def shorten(text: str, limit: int = 20) -> str:
+    """The first ``limit`` characters of ``text``, followed by "..." when
+    it is longer: how an error message quotes a value the user gave, so
+    the message stays short at any input length."""
+    return text[:limit] + ("..." if len(text) > limit else "")
 
 
 class FibpermError(Exception):

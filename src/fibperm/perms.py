@@ -22,6 +22,7 @@ from .errors import (
     OutOfRangeValueError,
     SizeLimitError,
     UnsupportedLengthError,
+    shorten,
 )
 
 Perm = tuple[int, ...]
@@ -276,5 +277,4 @@ def _parse_value(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        shown = token[:20] + ("..." if len(token) > 20 else "")
-        raise DomainError(f"{shown!r} is not a permutation value") from None
+        raise DomainError(f"{shorten(token)!r} is not a permutation value") from None

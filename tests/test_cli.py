@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fibperm import cli
 from fibperm.bijections import phi
 from fibperm.classes import CLASS_IDS, check_class_id, class_spec
 from fibperm.cli import COUNT_MAX_N, FIB_MAX_N, main
@@ -263,6 +264,13 @@ _ERROR_CASES = {
         ["genfun", "--class", "B2", "--n", "3", "--method", "closed",
          "--variant", "paper"], 4),
     "fib-past-cap": (["fib", "--n", str(FIB_MAX_N + 1)], 3),
+    "fib-4000-digits-past-cap": (["fib", "--n", "9" * 4000], 3),
+    "fib-letters": (["fib", "--n", "x" * _N], 2),
+    "fib-past-digit-limit": (["fib", "--n", "9" * 5000], 2),
+    "fib-long-negative": (["fib", "--n", "-" + "9" * 1000], 2),
+    "long-class": (["count", "--class", "x" * _N, "--n-max", "3"], 2),
+    "long-command": (["x" * _N], 2),
+    "long-unrecognized-argument": (["fib", "--n", "3", "y" * _N], 2),
     "bijection-off-domain": (["map", "--bijection", "phi", "--class", "B1", "--perm", "1"], 2),
     "unknown-class": (["count", "--class", "Z9", "--n-max", "3"], 2),
 }
@@ -281,6 +289,95 @@ def test_error_is_one_short_line(name, tmp_path, monkeypatch, capsys):
     if not (expected == 2 and captured.err.startswith("usage: ")):
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+_COUNT_USAGE = (
+    "usage: fibperm count [-h] --class {A1,A2,B1,B2} --n-max N_MAX\n"
+    "                     [--format {text,json}]\n"
+)
+_FIB_USAGE = "usage: fibperm fib [-h] --n N [--format {text,json}]\n"
+_CLASS_CHOICE = "fibperm count: error: argument --class: invalid choice: {} " \
+    "(choose from 'A1', 'A2', 'B1', 'B2')\n"
+# argv, exit code, all of stderr: a value of up to 20 characters is shown
+# whole, a longer one by its first 20 and "..."
+_MESSAGES = {
+    "class-20": (["count", "--class", "x" * 20, "--n-max", "3"], 2,
+                 _COUNT_USAGE + _CLASS_CHOICE.format(repr("x" * 20))),
+    "class-21": (["count", "--class", "x" * 21, "--n-max", "3"], 2,
+                 _COUNT_USAGE + _CLASS_CHOICE.format(repr("x" * 20 + "..."))),
+    "n-max-zero": (["count", "--class", "A1", "--n-max", "0"], 2,
+                   _COUNT_USAGE + "fibperm count: error: argument --n-max: "
+                   "'0' is not a positive integer\n"),
+    "n-letters": (["fib", "--n", "abc"], 2,
+                  _FIB_USAGE + "fibperm fib: error: argument --n: "
+                  "invalid _nonneg_int value: 'abc'\n"),
+    "n-negative": (["fib", "--n", "-1"], 2,
+                   _FIB_USAGE + "fibperm fib: error: argument --n: '-1' is negative\n"),
+    "n-long-negative": (["fib", "--n", "-" + "9" * 1000], 2,
+                        _FIB_USAGE + "fibperm fib: error: argument --n: "
+                        "'-9999999999999999999...' is negative\n"),
+    "unrecognized": (["fib", "--n", "3", "extra"], 2,
+                     "usage: fibperm [-h] [--version]\n"
+                     "               {count,enumerate,dist,genfun,map,fib,verify} ...\n"
+                     "fibperm: error: unrecognized arguments: extra\n"),
+    "cap": (["fib", "--n", str(FIB_MAX_N + 1)], 3,
+            "error: --n is capped at 100000; got 100001\n"),
+    "cap-20-digits": (["fib", "--n", "9" * 20], 3,
+                      "error: --n is capped at 100000; got 99999999999999999999\n"),
+    "cap-21-digits": (["fib", "--n", "9" * 21], 3,
+                      "error: --n is capped at 100000; got 99999999999999999999... "
+                      "(21 digits)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MESSAGES))
+def test_message_shows_value_shortened(name, monkeypatch, capsys):
+    argv, expected, err = _MESSAGES[name]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    assert main(argv) == expected
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    builds = []
+
+    def counted_build(build=cli.build_parser):
+        builds.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    for argv in (["fib", "--n", "3"], ["nonsense"], ["count", "--class", "A1",
+                 "--n-max", "3", "--format", "json"], ["fib", "--n", "3"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_reused_parser_keeps_every_output(monkeypatch, capsys):
+    # one parser serves refusals and early exits, then every golden command
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    usage_error = ["count", "--class", "Z9", "--n-max", "3"]
+    assert main(usage_error) == 2
+    first_usage_error = capsys.readouterr().err
+    for argv, code in (
+        (["--version"], 0),
+        (["fib", "--help"], 0),
+        (["fib", "--n", str(FIB_MAX_N + 1)], 3),
+        (["map", "--bijection", "phi", "--class", "A1", "--perm", "2 3 1"], 4),
+    ):
+        assert main(argv) == code
+    capsys.readouterr()
+    for name, argv in sorted(GOLDEN_CASES.items()):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert main(usage_error) == 2
+    assert capsys.readouterr().err == first_usage_error
 
 
 def test_rejected_names_are_domain_errors():
