@@ -3,7 +3,9 @@
 Subcommands: count, enumerate, dist, genfun, map, fib, verify.  Every
 subcommand takes ``--format text|json`` and prints through ``_emit``, the
 one place that reads it; output is byte-deterministic (``verify --stamp``
-is the one opt-in exception).
+is the one opt-in exception).  All JSON, on stdout and in the ``verify
+--report`` twin, is written by ``_dumps``, byte for byte what
+``json.dumps(payload, indent=2)`` writes.
 
 Exit codes: 0 success (for ``verify``: every identity resolved), 1
 verification failure, 2 usage error, 3 size cap exceeded, 4 invalid input
@@ -20,6 +22,7 @@ import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
@@ -38,12 +41,17 @@ from .verify import (
     to_json_doc,
 )
 
-__all__ = ["main", "build_parser", "FIB_MAX_N", "COUNT_MAX_N"]
+__all__ = ["main", "build_parser", "FIB_MAX_N", "COUNT_MAX_N", "ARGV_MAX"]
 
 # Output caps for the exact big integers: F(100001) has 20,899 digits, and
 # count --n-max 10000 prints about 10 MB.
 FIB_MAX_N = 100_000
 COUNT_MAX_N = 10_000
+# argparse's option parsing is quadratic in the number of argv tokens; the
+# longest valid command line (verify with every option) has 16
+ARGV_MAX = 64
+# unrecognized arguments shown in a usage error
+_SHOWN_WORDS = 8
 
 # a quoted value in a usage error (argparse shows a value as its repr), or
 # a bare word such as an unrecognized argument
@@ -63,6 +71,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         super().error(_MESSAGE_WORD.sub(_shorten_word, message))
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse's own parse_args, but the one message whose word count
+        # grows with the input lists at most _SHOWN_WORDS of its words
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            shown = extras[:_SHOWN_WORDS]
+            if len(extras) > len(shown):
+                shown.append(f"... ({len(extras) - len(shown)} more)")
+            self.error("unrecognized arguments: " + " ".join(shown))
+        return args
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -78,8 +97,51 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_ROWS = frozenset((list, tuple))
+
+
+@lru_cache(maxsize=None)
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The stdlib encoder whose item separator ends in the indent of
+    ``depth``; it has no ``indent`` itself, so it runs in C where ``_json``
+    is built."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _dumps(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for ``value`` nested
+    at ``depth``: dicts with str keys, lists, tuples and scalars.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
+    This writes only the newlines and indents of the containers; every
+    scalar goes to ``_encoder``, and so does, in one call, every list of
+    scalars and every list of non-empty lists of scalars (the
+    ``enumerate`` members)."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict) and value:
+        items = (json.dumps(k) + ": " + _dumps(v, depth + 1) for k, v in value.items())
+        body = ("," + pad).join(items)
+        return "{" + pad + body + pad[:-2] + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if _SCALARS.issuperset(map(type, value)):
+            body = _encoder(depth + 1).encode(value)[1:-1]
+        elif (_ROWS.issuperset(map(type, value)) and all(value)
+              and _SCALARS.issuperset(map(type, chain.from_iterable(value)))):
+            # a JSON string escapes every newline, so "]," then a newline
+            # only ever ends a row
+            inner = pad + "  "
+            rows = _encoder(depth + 2).encode(value)[2:-2]
+            rows = rows.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
+            body = "[" + inner + rows + pad + "]"
+        else:
+            body = ("," + pad).join(_dumps(v, depth + 1) for v in value)
+        return "[" + pad + body + pad[:-2] + "]"
+    return _encoder(depth).encode(value)
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
 
 
 def _check_cap(option: str, value: int, cap: int) -> None:
@@ -341,7 +403,7 @@ def cmd_verify(args) -> int:
         json_path = args.report if ext == ".json" else base + ".json"
         reports = (
             (md_path, render_markdown(result, stamp=stamp)),
-            (json_path, json.dumps(doc, indent=2) + "\n"),
+            (json_path, _dumps(doc) + "\n"),
         )
         for path, text in reports:
             try:
@@ -367,6 +429,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line and return its exit code.  May be called any
     number of times in one process; every call reuses one parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > ARGV_MAX:
+        print(f"error: at most {ARGV_MAX} arguments; got {len(argv)}", file=sys.stderr)
+        return 2
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

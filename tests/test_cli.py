@@ -6,13 +6,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibperm import cli
 from fibperm.bijections import phi
-from fibperm.classes import CLASS_IDS, check_class_id, class_spec
-from fibperm.cli import COUNT_MAX_N, FIB_MAX_N, main
+from fibperm.classes import CLASS_IDS, check_class_id, class_spec, generate
+from fibperm.cli import ARGV_MAX, COUNT_MAX_N, FIB_MAX_N, main
 from fibperm.errors import DomainError
-from fibperm.fib import tiling_cells
+from fibperm.fib import fib_number, tiling_cells
 from fibperm.genfun import Poly
 from fibperm.perms import format_permutation
 from fibperm.stats import STATS, VARIANTS, check_stat, check_variant
@@ -106,6 +108,57 @@ def test_golden_dist_formula_all(capsys):
                 blocks.append(f"== {class_id} {stat} {variant}\n{captured.out}")
     expected = (GOLDEN_DIR / "dist_formula_all.txt").read_text(encoding="utf-8")
     assert "".join(blocks) == expected
+
+
+_ESCAPES = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800é€😀 a')
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | _ESCAPES
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children) | st.lists(children).map(tuple)
+        | st.dictionaries(st.text() | _ESCAPES, children)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """``cli._dumps`` writes what ``json.dumps(value, indent=2)`` writes."""
+
+    @given(_JSON_VALUES)
+    def test_equals_stdlib_indent_2(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    # the enumerate members' shape, which has a path of its own; an empty
+    # tuple among the rows sends the list down the general path
+    @given(st.lists(
+        st.lists(_JSON_SCALARS, min_size=1) | st.lists(_JSON_SCALARS).map(tuple)
+    ))
+    def test_lists_of_scalar_lists(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    def test_every_enumerate_payload(self, capsys):
+        for class_id in CLASS_IDS:
+            for n in range(13):
+                assert main(["enumerate", "--class", class_id, "--n", str(n),
+                             "--format", "json"]) == 0
+                payload = {"class": class_id, "n": n, "members": generate(class_id, n)}
+                assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_fib_past_the_digit_limit(self, capsys):
+        assert main(["fib", "--n", "25000", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = json.dumps({"n": 25000, "fib": fib_number(25000)}, indent=2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(want) > 4300
+        assert out == want + "\n"
 
 
 class TestExactIntegers:
@@ -273,6 +326,9 @@ _ERROR_CASES = {
     "long-unrecognized-argument": (["fib", "--n", "3", "y" * _N], 2),
     "bijection-off-domain": (["map", "--bijection", "phi", "--class", "B1", "--perm", "1"], 2),
     "unknown-class": (["count", "--class", "Z9", "--n-max", "3"], 2),
+    "many-unrecognized-arguments": (["fib", "--n", "3"] + ["z"] * 60, 2),
+    "argv-past-cap": (["count", "--class", "A1", "--n-max", "3"]
+                      + ["--format", "text"] * 5000, 2),
 }
 
 
@@ -296,6 +352,10 @@ _COUNT_USAGE = (
     "                     [--format {text,json}]\n"
 )
 _FIB_USAGE = "usage: fibperm fib [-h] --n N [--format {text,json}]\n"
+_MAIN_USAGE = (
+    "usage: fibperm [-h] [--version]\n"
+    "               {count,enumerate,dist,genfun,map,fib,verify} ...\n"
+)
 _CLASS_CHOICE = "fibperm count: error: argument --class: invalid choice: {} " \
     "(choose from 'A1', 'A2', 'B1', 'B2')\n"
 # argv, exit code, all of stderr: a value of up to 20 characters is shown
@@ -317,9 +377,15 @@ _MESSAGES = {
                         _FIB_USAGE + "fibperm fib: error: argument --n: "
                         "'-9999999999999999999...' is negative\n"),
     "unrecognized": (["fib", "--n", "3", "extra"], 2,
-                     "usage: fibperm [-h] [--version]\n"
-                     "               {count,enumerate,dist,genfun,map,fib,verify} ...\n"
-                     "fibperm: error: unrecognized arguments: extra\n"),
+                     _MAIN_USAGE + "fibperm: error: unrecognized arguments: extra\n"),
+    "unrecognized-8": (["fib", "--n", "3"] + list("abcdefgh"), 2,
+                       _MAIN_USAGE + "fibperm: error: unrecognized arguments: "
+                       "a b c d e f g h\n"),
+    "unrecognized-9": (["fib", "--n", "3"] + list("abcdefghi"), 2,
+                       _MAIN_USAGE + "fibperm: error: unrecognized arguments: "
+                       "a b c d e f g h ... (1 more)\n"),
+    "argv-past-cap": (["fib", "--n=3"] + ["--format", "text"] * 31 + ["x"], 2,
+                      "error: at most 64 arguments; got 65\n"),
     "cap": (["fib", "--n", str(FIB_MAX_N + 1)], 3,
             "error: --n is capped at 100000; got 100001\n"),
     "cap-20-digits": (["fib", "--n", "9" * 20], 3,
@@ -338,6 +404,20 @@ def test_message_shows_value_shortened(name, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+def test_argv_cap(capsys):
+    # the longest accepted command line runs; a longer one is refused before
+    # argparse, whose option parsing is quadratic in the number of tokens
+    argv = ["fib", "--n=3"] + ["--format", "text"] * 31
+    assert len(argv) == ARGV_MAX
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "3\n"
+    start = time.monotonic()
+    assert main(argv + ["--format", "text"] * 4968) == 2
+    elapsed = time.monotonic() - start
+    assert elapsed < 0.1, f"took {elapsed:.2f}s"
+    assert capsys.readouterr().err == "error: at most 64 arguments; got 10000\n"
 
 
 def test_main_builds_one_parser(monkeypatch, capsys):
