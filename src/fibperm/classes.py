@@ -34,7 +34,7 @@ from .errors import (
     SizeLimitError,
     UnsupportedLengthError,
 )
-from .fib import fib_number, fib_permutations, fib_stat, is_fibonacci
+from .fib import extend_fibonacci, fib_number, fib_stat, is_fibonacci
 from .perms import Perm, PatternSet, make_pattern_set, make_permutation
 
 # Structural generation is linear per member but the member lists themselves
@@ -185,12 +185,13 @@ def generate(class_id: str, n: int) -> list[Perm]:
         raise UnsupportedLengthError(f"length {n} is negative")
     if n > GENERATE_MAX_N:
         raise SizeLimitError(f"generation is capped at n = {GENERATE_MAX_N}; got {n}")
-    members: list[Perm] = list(fib_permutations(n))
+    # Fibonacci members start 1 or 2 1 and B pre-parts 3, 4, ... or 2 3 1,
+    # 2 3 4 1, ..., so only A heads past length 3, which start 1, need a sort
+    members = extend_fibonacci([], (), n)
     for head_length in range(3, n + 1):
-        head = spec.head(head_length)
-        for tail in fib_permutations(n - head_length):
-            members.append(head + tuple(v + head_length for v in tail))
-    members.sort()
+        extend_fibonacci(members, spec.head(head_length), n)
+    if spec.kind == "A":
+        members.sort()
     return members
 
 

@@ -24,8 +24,8 @@ from .perms import Perm
 # The length-n Fibonacci permutations are exactly Av_n of these patterns.
 FIBONACCI_PATTERNS = frozenset({(2, 3, 1), (3, 1, 2), (3, 2, 1)})
 
-# Enumerating tilings/permutations of longer strips would hold hundreds of
-# thousands of words in memory; callers needing counts use fib_number.
+# tilings() caches every level it builds and fib_permutations returns F(n)
+# fresh tuples, so both stop here; callers needing counts use fib_number.
 TILINGS_MAX_CELLS = 27
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "is_fibonacci",
     "tilings",
     "fib_permutations",
+    "extend_fibonacci",
     "parse_tiling",
     "tiling_cells",
     "tiling_to_perm",
@@ -71,15 +72,7 @@ def is_fibonacci(perm: Sequence[int]) -> bool:
     >>> is_fibonacci((3, 2, 1))
     False
     """
-    i, n, expect = 0, len(perm), 1
-    while i < n:
-        if perm[i] == expect:
-            i, expect = i + 1, expect + 1
-        elif i + 1 < n and perm[i] == expect + 1 and perm[i + 1] == expect:
-            i, expect = i + 2, expect + 2
-        else:
-            return False
-    return True
+    return fib_stat(perm) == len(perm)
 
 
 @lru_cache(maxsize=None)
@@ -115,9 +108,22 @@ def tilings(cells: int) -> list[str]:
     return list(_tilings(cells))
 
 
-@lru_cache(maxsize=None)
-def _fib_permutations(n: int) -> tuple[Perm, ...]:
-    return tuple(tiling_to_perm(word) for word in _tilings(n))
+def extend_fibonacci(out: list[Perm], prefix: Perm, n: int) -> list[Perm]:
+    """Append to *out* and return it: every length-n permutation that is
+    *prefix* (on 1..len(prefix)) then a Fibonacci permutation of the values
+    above, lexicographically, so monomino v = len(prefix) + 1 before v+1 v.
+
+    >>> extend_fibonacci([], (2, 1), 5)
+    [(2, 1, 3, 4, 5), (2, 1, 3, 5, 4), (2, 1, 4, 3, 5)]
+    """
+    v = len(prefix) + 1
+    if v > n:
+        out.append(prefix)
+        return out
+    extend_fibonacci(out, prefix + (v,), n)
+    if v < n:
+        extend_fibonacci(out, prefix + (v + 1, v), n)
+    return out
 
 
 def fib_permutations(n: int) -> list[Perm]:
@@ -127,7 +133,7 @@ def fib_permutations(n: int) -> list[Perm]:
     [(1, 2, 3), (1, 3, 2), (2, 1, 3)]
     """
     _check_cells(n)
-    return list(_fib_permutations(n))
+    return extend_fibonacci([], (), n)
 
 
 def parse_tiling(text: str) -> str:
@@ -179,18 +185,10 @@ def perm_to_tiling(perm: Sequence[int]) -> str:
     >>> perm_to_tiling((1, 3, 2, 4, 5, 7, 6))
     'mdmmd'
     """
-    word: list[str] = []
-    i, n, expect = 0, len(perm), 1
-    while i < n:
-        if perm[i] == expect:
-            word.append("m")
-            i, expect = i + 1, expect + 1
-        elif i + 1 < n and perm[i] == expect + 1 and perm[i + 1] == expect:
-            word.append("d")
-            i, expect = i + 2, expect + 2
-        else:
-            raise NotFibonacciError(f"{perm} is not a Fibonacci permutation")
-    return "".join(word)
+    if not is_fibonacci(perm):
+        raise NotFibonacciError(f"{perm} is not a Fibonacci permutation")
+    # at position i sits a monomino i, a domino's top i+1 or its skipped bottom
+    return "".join("m" if v == i else "d" for i, v in enumerate(perm, 1) if v >= i)
 
 
 def fib_stat(perm: Sequence[int]) -> int:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fibperm import fib
+from fibperm.classes import CLASS_IDS, generate
 from fibperm.errors import (
     MalformedTilingError,
     NotFibonacciError,
@@ -13,6 +15,7 @@ from fibperm.errors import (
 from fibperm.fib import (
     FIBONACCI_PATTERNS,
     fib_number,
+    fib_permutations,
     fib_stat,
     is_fibonacci,
     parse_tiling,
@@ -83,6 +86,10 @@ class TestTilings:
             tilings(-1)
         with pytest.raises(SizeLimitError):
             tilings(28)
+        with pytest.raises(UnsupportedLengthError):
+            fib_permutations(-1)
+        with pytest.raises(SizeLimitError):
+            fib_permutations(28)
 
     def test_cells_measure(self):
         assert tiling_cells("mmm") == 3
@@ -116,6 +123,19 @@ class TestTilingPermCorrespondence:
         for cells in range(2, 11):
             decoded = [tiling_to_perm(w) for w in tilings(cells)]
             assert decoded == sorted(decoded)
+
+    def test_prefix_recursion_matches_decoded_words(self):
+        # fib_permutations and tilings are built independently
+        for n in range(21):
+            assert fib_permutations(n) == [tiling_to_perm(w) for w in tilings(n)], n
+
+    def test_generation_builds_no_words(self):
+        fib._tilings.cache_clear()
+        for n in range(12):
+            fib_permutations(n)
+            for cls in CLASS_IDS:
+                generate(cls, n)
+        assert fib._tilings.cache_info().currsize == 0
 
     def test_non_fibonacci_rejected(self):
         with pytest.raises(NotFibonacciError):
