@@ -7,9 +7,9 @@ is the one opt-in exception).  All JSON, on stdout and in the ``verify
 --report`` twin, is written by ``_dumps``, byte for byte what
 ``json.dumps(payload, indent=2)`` writes.
 
-Exit codes: 0 success (for ``verify``: every identity resolved), 1
-verification failure, 2 usage error, 3 size cap exceeded, 4 invalid input
-or an unwritable ``verify --report`` path.
+Exit codes (``_EXIT_CODES``, applied by ``main`` alone to what a subcommand
+raises): 0 success, 1 verification failure, 2 usage error, 3 size cap
+exceeded, 4 invalid input or an unwritable ``verify --report`` path.
 """
 
 from __future__ import annotations
@@ -81,6 +81,13 @@ class _Parser(argparse.ArgumentParser):
                 shown.append(f"... ({len(extras) - len(shown)} more)")
             self.error("unrecognized arguments: " + " ".join(shown))
         return args
+
+
+class _UsageError(Exception):
+    """A combination of options that argparse cannot refuse on its own."""
+
+
+_EXIT_CODES = {_UsageError: 2, SizeLimitError: 3, DomainError: 4}
 
 
 def _positive_int(text: str) -> int:
@@ -345,22 +352,17 @@ def cmd_genfun(args) -> int:
 def cmd_map(args) -> int:
     domain = bijection_domain(args.bijection)
     if args.class_id not in domain:
-        print(
-            f"error: {args.bijection} applies to {'/'.join(domain)}, not {args.class_id}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError(f"{args.bijection} applies to {'/'.join(domain)}, "
+                          f"not {args.class_id}")
     _, forward, inverse = tiling_bijection(args.class_id)
     if args.inverse:
         if args.tiling is None or args.perm is not None:
-            print("error: --inverse needs --tiling (and no --perm)", file=sys.stderr)
-            return 2
+            raise _UsageError("--inverse needs --tiling (and no --perm)")
         word = parse_tiling(args.tiling)
         perm = inverse(args.class_id, word)
     else:
         if args.perm is None or args.tiling is not None:
-            print("error: forward mapping needs --perm (and no --tiling)", file=sys.stderr)
-            return 2
+            raise _UsageError("forward mapping needs --perm (and no --tiling)")
         perm = parse_permutation(args.perm)
         word = forward(args.class_id, perm)
     payload = {
@@ -410,9 +412,8 @@ def cmd_verify(args) -> int:
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(text)
             except OSError as exc:
-                print(f"error: cannot write report {path}: {exc.strerror or exc}",
-                      file=sys.stderr)
-                return 4
+                raise DomainError(f"cannot write report {path}: "
+                                  f"{exc.strerror or exc}") from exc
     stamp_lines = [f"stamp: {stamp}"] if stamp else []
     _emit(args, doc, lambda: stamp_lines + render_text(result).splitlines())
     return 0 if doc["resolved"] else 1
@@ -430,19 +431,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line and return its exit code.  May be called any
     number of times in one process; every call reuses one parser."""
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) > ARGV_MAX:
-        print(f"error: at most {ARGV_MAX} arguments; got {len(argv)}", file=sys.stderr)
-        return 2
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        if len(argv) > ARGV_MAX:
+            raise _UsageError(f"at most {ARGV_MAX} arguments; got {len(argv)}")
+        args = _parser().parse_args(argv)  # argparse exits after its own messages
         return args.func(args)
-    except (SizeLimitError, DomainError) as exc:
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, SizeLimitError) else 4
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -367,25 +367,35 @@ def _eq1_cases(class_id, variant, b) -> Iterator[Case]:
 
 
 def _hockey_stick_cases(class_id, variant, b) -> Iterator[Case]:
+    columns: list[int] = []  # columns[r] = C(r, r) + ... + C(n, r), kept running
     for n in range(0, b.n_scalar + 1):
+        columns.append(0)
         for r in range(0, n + 1):
-            lhs = sum(comb(i, r) for i in range(r, n + 1))
-            yield {"n": n, "r": r}, lhs, comb(n + 1, r + 1), ""
+            columns[r] += comb(n, r)
+            yield {"n": n, "r": r}, columns[r], comb(n + 1, r + 1), ""
     # consistency: the A-type tail sums collapse to the closed forms used by
-    # inv_distribution_formula (the sum is 0 while k is below the exponent)
-    a_specs = [spec for spec in CLASS_SPECS.values() if spec.kind == "A"]
+    # inv_distribution_formula (the sum is 0 while k is below the exponent).
+    # The A-type exponent is constant in n (3 for A1, 2 for A2), so each
+    # (class, k) keeps one running sum over t = 0 .. n-3.
+    a_specs = [
+        (spec.class_id, spec.tail_q_exponent(0))
+        for spec in CLASS_SPECS.values()
+        if spec.kind == "A"
+    ]
+    tails = {class_id: [0] * (b.n_scalar + 1) for class_id, _ in a_specs}
     for n in range(1, b.n_scalar + 1):
+        for class_id, e in a_specs:
+            if n >= 3:  # the sum gains its term t = n - 3
+                tail = tails[class_id]
+                for k in range(0, b.n_scalar + 1):
+                    tail[k] += binomial(n - 3 - (k - e), k - e)
         for k in range(0, n + 1):
-            for spec in a_specs:
-                e = spec.tail_q_exponent(n)
-                tail_sum = binomial(n - k, k) + sum(
-                    binomial(t - (k - e), k - e) for t in range(0, n - 2)
-                )
+            for class_id, e in a_specs:
                 yield (
                     {"n": n, "k": k},
-                    tail_sum,
-                    inv_distribution_formula(spec.class_id, n, k),
-                    f"{spec.class_id} tail sum does not collapse to the closed form",
+                    binomial(n - k, k) + tails[class_id][k],
+                    inv_distribution_formula(class_id, n, k),
+                    f"{class_id} tail sum does not collapse to the closed form",
                 )
 
 
@@ -616,6 +626,15 @@ CORRECTIONS: tuple[Correction, ...] = (
 )
 
 
+def _corrections_for(identity_id: str, class_id: Optional[str]) -> list[Correction]:
+    """The registered corrections that cover one (identity, class) unit."""
+    return [
+        corr
+        for corr in CORRECTIONS
+        if corr.identity_id == identity_id and corr.class_id in (None, class_id)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # running
 
@@ -667,7 +686,8 @@ class VerificationResult:
     reports: tuple[IdentityReport, ...]
 
     def units(self) -> dict[tuple[str, Optional[str]], dict[str, IdentityReport]]:
-        """Reports grouped as {(identity, class): {variant: report}}."""
+        """Reports grouped as {(identity, class): {variant: report}}, in
+        report order (``FAMILIES`` order for a ``run_verification`` result)."""
         grouped: dict[tuple[str, Optional[str]], dict[str, IdentityReport]] = {}
         for report in self.reports:
             key = (report.identity_id, report.class_id)
@@ -680,33 +700,15 @@ class VerificationResult:
         return [key for key, by_variant in units.items() if not _resolved(by_variant)]
 
     def registry_problems(self) -> list[str]:
-        """Correction entries that failed to validate in this run."""
-        problems: list[str] = []
-        evaluated = self.units()
-        for corr in CORRECTIONS:
-            family = _FAMILY_BY_ID.get(corr.identity_id)
-            if family is None:
-                problems.append(f"correction names unknown identity {corr.identity_id!r}")
-                continue
-            if corr.class_id is not None and not family.per_class:
-                problems.append(
-                    f"correction {corr.identity_id!r} names a class on a global identity"
-                )
-                continue
-            if "corrected" not in self.variants:
-                continue
-            if corr.class_id is not None:
-                class_ids = (corr.class_id,)
-            else:
-                class_ids = CLASS_IDS if family.per_class else (None,)
-            for class_id in class_ids:
-                report = evaluated.get((corr.identity_id, class_id), {}).get("corrected")
-                if report is not None and report.status != "pass":
-                    problems.append(
-                        f"correction for {_unit_label(corr.identity_id, class_id)} "
-                        f"did not validate: corrected variant {report.status}"
-                    )
-        return problems
+        """Corrected units with a registered correction that did not pass."""
+        return [
+            f"correction for {_unit_label(*key)} "
+            f"did not validate: corrected variant {report.status}"
+            for key, by_variant in self.units().items()
+            if (report := by_variant.get("corrected")) is not None
+            and report.status != "pass"
+            and _corrections_for(*key)
+        ]
 
     @property
     def resolved(self) -> bool:
@@ -714,18 +716,19 @@ class VerificationResult:
 
 
 def run_verification(
-    identity_ids=None,
+    identity_ids: Optional[list[str]] = None,
     *,
     n_max: int = 9,
     m_max: Optional[int] = None,
     variants: tuple[str, ...] = VARIANTS,
     jobs: int = 1,
 ) -> VerificationResult:
-    """Evaluate identities (all 13 by default) over both variants, in at
-    most ``jobs`` worker processes (never more than units or CPUs)."""
-    if identity_ids is None or identity_ids == "all" or identity_ids == ["all"]:
-        identity_ids = IDENTITY_IDS
-    families = [_family(identity_id) for identity_id in identity_ids]
+    """Evaluate the named identities (all 13 when None) over both variants,
+    in at most ``jobs`` worker processes (never more than units or CPUs).
+    Reports come out in ``FAMILIES`` order, each identity once."""
+    for identity_id in identity_ids or ():
+        _family(identity_id)
+    families = [f for f in FAMILIES if identity_ids is None or f.identity_id in identity_ids]
     requested = set(variants)
     for variant in requested:
         check_variant(variant)
@@ -804,11 +807,6 @@ def render_text(result: VerificationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _unit_sort_key(key: tuple[str, Optional[str]]):
-    identity_id, class_id = key
-    return (IDENTITY_IDS.index(identity_id), class_id or "")
-
-
 # the Correction fields a report spells out, in order
 _CORRECTION_FIELDS = ("change", "reason", "counterexample")
 
@@ -832,8 +830,7 @@ def render_markdown(result: VerificationResult, stamp: Optional[str] = None) -> 
     lines.append("|---|---|" + "---|" * (len(result.variants) + 1))
     units = result.units()
     deviations = []
-    for key in sorted(units, key=_unit_sort_key):
-        by_variant = units[key]
+    for key, by_variant in units.items():
         cells = [by_variant[v].status if v in by_variant else "-" for v in result.variants]
         resolved = "yes" if _resolved(by_variant) else "NO"
         row = [key[0], key[1] or "-"] + cells + [resolved]
@@ -855,9 +852,8 @@ def render_markdown(result: VerificationResult, stamp: Optional[str] = None) -> 
             lines.append(
                 f"- corrected: **{corrected.status}** over {corrected.parameter_range}"
             )
-        for corr in CORRECTIONS:
-            if corr.identity_id == identity_id and corr.class_id in (None, class_id):
-                lines += _correction_lines(corr)
+        for corr in _corrections_for(identity_id, class_id):
+            lines += _correction_lines(corr)
         lines.append("")
     lines += ["## Corrections registry", ""]
     for corr in CORRECTIONS:
@@ -877,7 +873,6 @@ def render_markdown(result: VerificationResult, stamp: Optional[str] = None) -> 
 
 def to_json_doc(result: VerificationResult, stamp: Optional[str] = None) -> dict:
     """JSON-serializable document mirroring the markdown report."""
-    units = result.units()
     return {
         "parameters": {
             "n_max": result.n_max,
@@ -898,12 +893,8 @@ def to_json_doc(result: VerificationResult, stamp: Optional[str] = None) -> dict
             for r in result.reports
         ],
         "units": [
-            {
-                "identity": identity_id,
-                "class": class_id,
-                "resolved": _resolved(units[(identity_id, class_id)]),
-            }
-            for identity_id, class_id in sorted(units, key=_unit_sort_key)
+            {"identity": identity_id, "class": class_id, "resolved": _resolved(by_variant)}
+            for (identity_id, class_id), by_variant in result.units().items()
         ],
         "resolved": result.resolved,
         "corrections": [

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -359,7 +361,8 @@ _MAIN_USAGE = (
 _CLASS_CHOICE = "fibperm count: error: argument --class: invalid choice: {} " \
     "(choose from 'A1', 'A2', 'B1', 'B2')\n"
 # argv, exit code, all of stderr: a value of up to 20 characters is shown
-# whole, a longer one by its first 20 and "..."
+# whole, a longer one by its first 20 and "..."; the last rows pin the
+# refusals a subcommand raises for main to print
 _MESSAGES = {
     "class-20": (["count", "--class", "x" * 20, "--n-max", "3"], 2,
                  _COUNT_USAGE + _CLASS_CHOICE.format(repr("x" * 20))),
@@ -393,12 +396,23 @@ _MESSAGES = {
     "cap-21-digits": (["fib", "--n", "9" * 21], 3,
                       "error: --n is capped at 100000; got 99999999999999999999... "
                       "(21 digits)\n"),
+    "inverse-map-with-perm": (["map", "--bijection", "rho", "--class", "B1",
+                               "--inverse", "--perm", "1"], 2,
+                              "error: --inverse needs --tiling (and no --perm)\n"),
+    "forward-map-with-tiling": (["map", "--bijection", "rho", "--class", "B1",
+                                 "--perm", "1", "--tiling", "d"], 2,
+                                "error: forward mapping needs --perm (and no --tiling)\n"),
+    "report-in-missing-dir": (["verify", "--identity", "eq1", "--n-max", "3",
+                               "--report", "no-such-dir/r.md"], 4,
+                              "error: cannot write report no-such-dir/r.md: "
+                              "No such file or directory\n"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MESSAGES))
-def test_message_shows_value_shortened(name, monkeypatch, capsys):
+def test_message_shows_value_shortened(name, tmp_path, monkeypatch, capsys):
     argv, expected, err = _MESSAGES[name]
+    monkeypatch.chdir(tmp_path)  # where a relative --report path points
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
     assert main(argv) == expected
     captured = capsys.readouterr()
@@ -461,8 +475,8 @@ def test_reused_parser_keeps_every_output(monkeypatch, capsys):
 
 
 def test_rejected_names_are_domain_errors():
-    # main maps only SizeLimitError and DomainError to exit codes; any other
-    # exception is a fault and must not read as bad input
+    # main maps only DomainError, SizeLimitError and its own usage error to
+    # exit codes; any other exception is a fault and must not read as bad input
     for call in (
         lambda: check_class_id("C1"),
         lambda: check_variant("folk"),
@@ -521,6 +535,28 @@ class TestVerifyCommand:
               "--jobs", "2"])
         parallel = capsys.readouterr().out
         assert parallel == sequential
+
+
+def _bench_table(script: str, name: str):
+    """The literal value a bench script assigns to ``name``, read from its
+    source without importing it."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / script).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/{script} assigns no {name}")
+
+
+def test_bench_names_resolve():
+    # the bench tracer finds what it wraps by module and name, so these
+    # names stay even where a refactor would drop them
+    for targets in _bench_table("layertrace.py", "LAYERS").values():
+        for module, attr in targets:
+            assert callable(getattr(importlib.import_module(f"fibperm.{module}"), attr))
+    for module, attr in _bench_table("worker.py", "CACHED").values():
+        assert hasattr(getattr(importlib.import_module(f"fibperm.{module}"), attr),
+                       "cache_info")
+    assert callable(Poly.__mul__)
 
 
 # run in a fresh interpreter: installing the tracer rebinds fibperm's functions

@@ -1,12 +1,16 @@
 import concurrent.futures
 import json
+import time
+from math import comb
 
 import pytest
 
 from fibperm import verify
-from fibperm.classes import CLASS_IDS
+from fibperm.classes import CLASS_IDS, CLASS_SPECS
+from fibperm.cli import main
 from fibperm.errors import UnknownIdentityError
 from fibperm.fib import fib_stat
+from fibperm.stats import binomial, inv_distribution_formula
 from fibperm.verify import (
     CORRECTIONS,
     IDENTITY_IDS,
@@ -141,6 +145,40 @@ class TestCheckIdentity:
             check_identity("eq1", "folk")
 
 
+class TestHockeyStick:
+    def test_running_sums_match_a_direct_resummation(self):
+        n_scalar = 60
+        bounds = verify._bounds(None, "corrected", n_scalar, None)
+        assert bounds.n_scalar == n_scalar
+        expected = [
+            ({"n": n, "r": r}, sum(comb(i, r) for i in range(r, n + 1)),
+             comb(n + 1, r + 1), "")
+            for n in range(n_scalar + 1)
+            for r in range(n + 1)
+        ]
+        for n in range(1, n_scalar + 1):
+            for k in range(n + 1):
+                for class_id in ("A1", "A2"):
+                    e = CLASS_SPECS[class_id].tail_q_exponent(n)
+                    tail_sum = binomial(n - k, k) + sum(
+                        binomial(t - (k - e), k - e) for t in range(n - 2)
+                    )
+                    expected.append((
+                        {"n": n, "k": k}, tail_sum,
+                        inv_distribution_formula(class_id, n, k),
+                        f"{class_id} tail sum does not collapse to the closed form",
+                    ))
+        assert list(verify._hockey_stick_cases(None, "corrected", bounds)) == expected
+
+    def test_n_max_200_is_quick(self, capsys):
+        start = time.monotonic()
+        code = main(["verify", "--identity", "hockey-stick", "--n-max", "200"])
+        elapsed = time.monotonic() - start
+        assert code == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
 class TestStructureOracle:
     def test_catches_decompose_accepting_a_boundary_nonmember(self, monkeypatch):
         # Not in A1 (it contains 4321), and one inserted value away from the
@@ -246,6 +284,16 @@ class TestFullRun:
         assert sizes == pool_sizes
         assert result == run_verification(identity_ids, n_max=3)
 
+    def test_reports_follow_family_order_once_each(self):
+        result = run_verification(["eq1", "a_n-recurrence", "eq1"], n_max=3)
+        assert [(r.identity_id, r.variant) for r in result.reports] == [
+            ("a_n-recurrence", "paper"),
+            ("a_n-recurrence", "corrected"),
+            ("eq1", "paper"),
+            ("eq1", "corrected"),
+        ]
+        assert list(result.units()) == [("a_n-recurrence", None), ("eq1", None)]
+
     def test_paper_only_is_unresolved(self):
         result = run_verification(None, n_max=5, variants=("paper",))
         assert not result.resolved
@@ -255,9 +303,14 @@ class TestFullRun:
 
 class TestRegistry:
     def test_every_entry_names_a_known_identity(self):
+        per_class = {f.identity_id: f.per_class for f in verify.FAMILIES}
         for corr in CORRECTIONS:
             assert corr.identity_id in IDENTITY_IDS
             assert corr.change and corr.reason and corr.counterexample
+            if corr.class_id is not None:
+                # a class-specific repair sits on a per-class family
+                assert per_class[corr.identity_id], corr
+                assert corr.class_id in CLASS_IDS, corr
 
     def test_entries_revalidated_over_declared_ranges(self):
         # each corrected variant must actually pass, checked directly and
