@@ -41,12 +41,19 @@ from .verify import (
     to_json_doc,
 )
 
-__all__ = ["main", "build_parser", "FIB_MAX_N", "COUNT_MAX_N", "ARGV_MAX"]
+__all__ = [
+    "main", "build_parser", "FIB_MAX_N", "COUNT_MAX_N", "FORMULA_MAX_N", "ARGV_MAX",
+]
 
 # Output caps for the exact big integers: F(100001) has 20,899 digits, and
 # count --n-max 10000 prints about 10 MB.
 FIB_MAX_N = 100_000
 COUNT_MAX_N = 10_000
+# Time cap for the formula-only genfun and dist commands, which grow
+# polynomially in n with no enumeration cap: at n = 200 the slowest, dist
+# --stat joint, takes 2-4 s, and genfun --method recurrence takes 89 s at
+# 600.
+FORMULA_MAX_N = 200
 # argparse's option parsing is quadratic in the number of argv tokens; the
 # longest valid command line (verify with every option) has 16
 ARGV_MAX = 64
@@ -308,6 +315,7 @@ def cmd_dist(args) -> int:
         dist = distribution_oracle(args.class_id, args.n, args.stat)
         variant: Optional[str] = None
     else:
+        _check_cap("--n", args.n, FORMULA_MAX_N)
         pairs = distribution_formula(args.class_id, args.n, args.stat, args.variant)
         dist = {key: value for key, value in pairs if value}
         variant = args.variant
@@ -329,6 +337,8 @@ def cmd_dist(args) -> int:
 
 def cmd_genfun(args) -> int:
     variant = args.variant if args.method == "closed" else None
+    if args.method != "oracle":
+        _check_cap("--n", args.n, FORMULA_MAX_N)
     if args.method == "oracle":
         poly = genfun_oracle(args.class_id, args.n)
     elif args.method == "recurrence":

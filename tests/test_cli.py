@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fibperm import cli
 from fibperm.bijections import phi
 from fibperm.classes import CLASS_IDS, check_class_id, class_spec, generate
-from fibperm.cli import ARGV_MAX, COUNT_MAX_N, FIB_MAX_N, main
+from fibperm.cli import ARGV_MAX, COUNT_MAX_N, FIB_MAX_N, FORMULA_MAX_N, main
 from fibperm.errors import DomainError
 from fibperm.fib import fib_number, tiling_cells
 from fibperm.genfun import Poly
@@ -319,6 +319,14 @@ _ERROR_CASES = {
         ["genfun", "--class", "B2", "--n", "3", "--method", "closed",
          "--variant", "paper"], 4),
     "fib-past-cap": (["fib", "--n", str(FIB_MAX_N + 1)], 3),
+    "genfun-closed-past-cap": (
+        ["genfun", "--class", "A1", "--n", str(FORMULA_MAX_N + 1), "--method", "closed"], 3),
+    "genfun-recurrence-past-cap": (
+        ["genfun", "--class", "B1", "--n", str(FORMULA_MAX_N + 1),
+         "--method", "recurrence"], 3),
+    "dist-formula-past-cap": (
+        ["dist", "--class", "A1", "--n", str(FORMULA_MAX_N + 1), "--stat", "joint",
+         "--source", "formula"], 3),
     "fib-4000-digits-past-cap": (["fib", "--n", "9" * 4000], 3),
     "fib-letters": (["fib", "--n", "x" * _N], 2),
     "fib-past-digit-limit": (["fib", "--n", "9" * 5000], 2),
@@ -396,6 +404,11 @@ _MESSAGES = {
     "cap-21-digits": (["fib", "--n", "9" * 21], 3,
                       "error: --n is capped at 100000; got 99999999999999999999... "
                       "(21 digits)\n"),
+    "formula-cap": (["dist", "--class", "B2", "--n", "201", "--stat", "inv",
+                     "--source", "formula"], 3,
+                    "error: --n is capped at 200; got 201\n"),
+    "oracle-cap": (["genfun", "--class", "B2", "--n", "27"], 3,
+                   "error: generation is capped at n = 26; got 27\n"),
     "inverse-map-with-perm": (["map", "--bijection", "rho", "--class", "B1",
                                "--inverse", "--perm", "1"], 2,
                               "error: --inverse needs --tiling (and no --perm)\n"),
@@ -418,6 +431,14 @@ def test_message_shows_value_shortened(name, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+def test_formula_cap_admits_its_edge(capsys):
+    # the cheapest formula-only command at the cap; the costliest, dist
+    # --stat joint, takes a few seconds there
+    assert main(["genfun", "--class", "A1", "--n", str(FORMULA_MAX_N),
+                 "--method", "closed", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == FORMULA_MAX_N
 
 
 def test_argv_cap(capsys):

@@ -5,10 +5,10 @@ from math import comb
 
 import pytest
 
-from fibperm import verify
+from fibperm import bijections, verify
 from fibperm.classes import CLASS_IDS, CLASS_SPECS
 from fibperm.cli import main
-from fibperm.errors import UnknownIdentityError
+from fibperm.errors import NotInClassError, UnknownIdentityError
 from fibperm.fib import fib_stat
 from fibperm.stats import binomial, inv_distribution_formula
 from fibperm.verify import (
@@ -180,6 +180,14 @@ class TestHockeyStick:
 
 
 class TestStructureOracle:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        # the one-pass check is cached per (class, length); these tests
+        # patch what it calls
+        verify._structure_disagreement.cache_clear()
+        yield
+        verify._structure_disagreement.cache_clear()
+
     def test_catches_decompose_accepting_a_boundary_nonmember(self, monkeypatch):
         # Not in A1 (it contains 4321), and one inserted value away from the
         # member 3 2 1 5 4 7 6; a 1-in-97 sample of all 8! permutations skips it.
@@ -190,11 +198,7 @@ class TestStructureOracle:
             return None if perm == bad else real(class_id, perm)
 
         monkeypatch.setattr(verify, "decompose", lenient)
-        verify._first_undecomposable_nonmember.cache_clear()
-        try:
-            report = check_identity("structure-oracle", "corrected", class_id="A1", n_max=8)
-        finally:
-            verify._first_undecomposable_nonmember.cache_clear()
+        report = check_identity("structure-oracle", "corrected", class_id="A1", n_max=8)
         assert report.status == "fail"
         assert report.notes == f"non-member {bad} was not rejected by decompose"
 
@@ -206,13 +210,65 @@ class TestStructureOracle:
             "fibperm.classes.fib_stat",
             lambda p: 3 if tuple(p) == (1, 3, 4, 2) else fib_stat(p),
         )
-        verify._first_undecomposable_nonmember.cache_clear()
-        try:
-            report = check_identity("structure-oracle", "corrected", class_id="B1", n_max=6)
-        finally:
-            verify._first_undecomposable_nonmember.cache_clear()
+        report = check_identity("structure-oracle", "corrected", class_id="B1", n_max=6)
         assert report.status == "fail"
         assert report.notes == "non-member (1, 3, 4, 2) was not rejected by decompose"
+
+    def test_catches_decompose_rejecting_a_member(self, monkeypatch):
+        real = verify.decompose
+
+        def strict(class_id, perm):
+            if perm == (1, 4, 3, 2):
+                raise NotInClassError("nope")
+            return real(class_id, perm)
+
+        monkeypatch.setattr(verify, "decompose", strict)
+        report = check_identity("structure-oracle", "corrected", class_id="A1", n_max=6)
+        assert report.status == "fail"
+        assert report.first_mismatch == {"parameters": {"n": 4}, "lhs": 0, "rhs": 1}
+        assert report.notes == "member (1, 4, 3, 2) was rejected by decompose"
+
+    def test_catches_a_failed_round_trip(self, monkeypatch):
+        real = verify.compose
+
+        def reversing(class_id, decomposition):
+            rebuilt = real(class_id, decomposition)
+            return rebuilt[::-1] if decomposition.head_length == 4 else rebuilt
+
+        monkeypatch.setattr(verify, "compose", reversing)
+        report = check_identity("structure-oracle", "corrected", class_id="A1", n_max=6)
+        assert report.status == "fail"
+        assert report.notes == "decompose/compose round-trip failed on (1, 4, 3, 2)"
+
+
+class TestLibraryRefusal:
+    def test_is_a_failing_unit_not_bad_input(self, monkeypatch, capsys):
+        # phi parses each member with decompose; a refusal there is a fault
+        # in the library under test, so verify reports it and exits 1
+        real = bijections.decompose
+
+        def strict(class_id, perm):
+            if perm == (1, 4, 3, 2):
+                raise NotInClassError("nope")
+            return real(class_id, perm)
+
+        monkeypatch.setattr(bijections, "decompose", strict)
+        code = main(["verify", "--identity", "bijection-image", "--n-max", "6",
+                     "--variants", "corrected", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        failing = [r for r in doc["reports"] if r["status"] != "pass"]
+        assert failing == [{
+            "identity": "bijection-image",
+            "class": "A1",
+            "variant": "corrected",
+            "parameter_range": "1 <= n <= 6",
+            "status": "fail",
+            "first_mismatch": None,
+            "notes": "NotInClassError: nope",
+        }]
 
 
 class TestFullRun:
