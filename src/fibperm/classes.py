@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedLengthError,
 )
 from .fib import extend_fibonacci, fib_number, fib_stat, is_fibonacci
-from .perms import Perm, PatternSet, make_pattern_set, make_permutation
+from .perms import Perm, PatternSet, direct_sum, make_pattern_set, make_permutation
 
 # Structural generation is linear per member but the member lists themselves
 # get large; past this the closed-form count is the supported interface.
@@ -72,7 +72,7 @@ class ClassSpec:
     def build(self, head_length: int, tail: Perm) -> Perm:
         """The member made of ``head(head_length)`` followed by the
         Fibonacci permutation *tail* shifted onto the top values."""
-        return self.head(head_length) + tuple(v + head_length for v in tail)
+        return direct_sum(self.head(head_length), tail)
 
 
 def _patterns(words: str) -> PatternSet:

@@ -9,7 +9,8 @@ is the one opt-in exception).  All JSON, on stdout and in the ``verify
 
 Exit codes (``_EXIT_CODES``, applied by ``main`` alone to what a subcommand
 raises): 0 success, 1 verification failure, 2 usage error, 3 size cap
-exceeded, 4 invalid input or an unwritable ``verify --report`` path.
+exceeded, 4 invalid input or an unwritable ``verify --report`` path; a
+closed stdout also gives 4, with nothing printed.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ __all__ = [
 # count --n-max 10000 prints about 10 MB.
 FIB_MAX_N = 100_000
 COUNT_MAX_N = 10_000
-# Time cap for the formula-only genfun and dist commands, which grow
-# polynomially in n with no enumeration cap: at n = 200 the slowest, dist
-# --stat joint, takes 2-4 s, and genfun --method recurrence takes 89 s at
-# 600.
+# Time cap for the formula-only genfun and dist commands and for verify
+# --n-max, which grow polynomially in n with no enumeration cap: at n = 200
+# the slowest, dist --stat joint, takes 2-4 s; genfun --method recurrence
+# takes 89 s at 600, and verify --identity hockey-stick 44 s at 1000.
 FORMULA_MAX_N = 200
 # argparse's option parsing is quadratic in the number of argv tokens; the
 # longest valid command line (verify with every option) has 16
@@ -394,6 +395,7 @@ def cmd_fib(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_cap("--n-max", args.n_max, FORMULA_MAX_N)
     variants = VARIANTS if args.variants == "both" else (args.variants,)
     identity_ids = None if args.identity == "all" else [args.identity]
     result = run_verification(
@@ -445,9 +447,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if len(argv) > ARGV_MAX:
             raise _UsageError(f"at most {ARGV_MAX} arguments; got {len(argv)}")
         args = _parser().parse_args(argv)  # argparse exits after its own messages
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # shutdown cannot fail too, and print nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))

@@ -18,9 +18,12 @@ from .classes import class_spec, generate
 from .errors import DomainError, NotEvaluableError, UnsupportedLengthError
 from .fib import fib_stat
 from .perms import inversions
-from .stats import binomial, check_variant
+
+VARIANTS = ("paper", "corrected")
 
 __all__ = [
+    "VARIANTS",
+    "check_variant",
     "Poly",
     "ZERO",
     "ONE",
@@ -32,6 +35,18 @@ __all__ = [
     "genfun_recurrence",
     "genfun_addition",
 ]
+
+
+def check_variant(variant: str) -> str:
+    """Return *variant* if known, else raise DomainError.
+
+    >>> check_variant("corrected")
+    'corrected'
+    """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return variant
+
 
 Exponents = tuple[int, int]
 TermsInput = Union[Mapping[Exponents, int], Iterable[tuple[Exponents, int]], None]
@@ -163,7 +178,7 @@ def fib_poly(n: int) -> Poly:
     """
     if n < 0:
         raise UnsupportedLengthError(f"F_{n}(q) is not defined here")
-    return Poly({(0, k): binomial(n - k, k) for k in range(n // 2 + 1)})
+    return Poly({(0, k): comb(n - k, k) for k in range(n // 2 + 1)})
 
 
 @lru_cache(maxsize=None)

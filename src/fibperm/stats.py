@@ -3,9 +3,10 @@ and their joint distribution, as closed forms and as folds of the enumerated G_n
 
 The closed forms use the convention that a binomial coefficient with its
 lower index outside 0..upper is 0.  Where the literature's stated form and
-the enumeration disagree, the formula carries a ``variant`` switch:
-``"paper"`` evaluates the form as stated, ``"corrected"`` the repaired one
-(they coincide except for the B2 joint distribution's binomial).
+the enumeration disagree, the formula carries a ``variant`` switch
+(``genfun.VARIANTS``): ``"paper"`` evaluates the form as stated,
+``"corrected"`` the repaired one (they coincide except for the B2 joint
+distribution's binomial).
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Iterator, Union
 from .classes import check_class_id, class_spec
 from .errors import DomainError, UnsupportedLengthError
 from .fib import fib_number
+from .genfun import VARIANTS, check_variant, genfun_oracle
 
 STATS = ("inv", "fib", "joint")
-VARIANTS = ("paper", "corrected")
 
 __all__ = [
     "STATS",
@@ -52,17 +53,6 @@ def binomial(a: int, b: int) -> int:
     return comb(a, b)
 
 
-def check_variant(variant: str) -> str:
-    """Return *variant* if known, else raise DomainError.
-
-    >>> check_variant("corrected")
-    'corrected'
-    """
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return variant
-
-
 def check_stat(stat: str) -> str:
     """Return *stat* if known, else raise DomainError.
 
@@ -91,6 +81,10 @@ def fib_inv_count(n: int, k: int) -> int:
 def inv_distribution_formula(class_id: str, n: int, k: int) -> int:
     """Closed form for the number of length-n members with k inversions.
 
+    A member is ``head(h)``, carrying ``tail_q_exponent(h)`` inversions,
+    then a Fibonacci tail with one per domino.  Every A-type core carries
+    the same e, so those terms sum (hockey stick) to C(n-k+e-2, k-e+1).
+
     >>> inv_distribution_formula("A1", 4, 3)
     2
     >>> inv_distribution_formula("A2", 5, 2)
@@ -98,23 +92,14 @@ def inv_distribution_formula(class_id: str, n: int, k: int) -> int:
     >>> inv_distribution_formula("B2", 5, 3)
     2
     """
-    check_class_id(class_id)
+    spec = class_spec(class_id)
     if n < 1:
         raise UnsupportedLengthError(f"the closed forms need n >= 1; got {n}")
-    if class_id == "A1":
-        extra = binomial(n - k + 1, k - 2) if k >= 3 else 0
-        return binomial(n - k, k) + extra
-    if class_id == "A2":
-        if k >= 2:
-            return binomial(n - k + 1, k)
-        return binomial(n - k, k)
-    if class_id == "B1":
-        total = 0
-        for length in range(1, n + 1):
-            dominoes = k - comb(length, 2)
-            total += binomial(n - length - dominoes, dominoes)
-        return total
-    return sum(binomial(n - k - 1, k - length + 1) for length in range(1, n + 1))
+    if spec.kind == "A":
+        e = spec.tail_q_exponent(n)  # the core's inversions, whatever n
+        extra = binomial(n - k + e - 2, k - e + 1) if k >= e else 0
+        return fib_inv_count(n, k) + extra
+    return sum(fib_inv_count(n - h, k - spec.tail_q_exponent(h)) for h in range(1, n + 1))
 
 
 def fib_distribution_formula(class_id: str, n: int, k: int) -> int:
@@ -234,7 +219,6 @@ def distribution_oracle(class_id: str, n: int, stat: str) -> dict[DistKey, int]:
     >>> distribution_oracle("B2", 3, "inv")
     {0: 1, 1: 2, 2: 1}
     """
-    from .genfun import genfun_oracle  # imported here: genfun imports stats
     check_stat(stat)
     terms = genfun_oracle(class_id, n).terms()
     if stat == "joint":

@@ -134,7 +134,9 @@ def _difference(truth, formula):
     """``(exponent, lhs, rhs)`` where two unequal sides first differ.
 
     Polynomials are compared coefficient by coefficient from the smallest
-    exponent (v, q).  Member lists and word sets are reported by size.
+    exponent (v, q); member lists by their entries at the first position
+    where they differ, None past the end of one; word sets by the smallest
+    element of each side that the other lacks, None if it lacks none.
     """
     if isinstance(truth, Poly):
         exponents = sorted(
@@ -144,8 +146,10 @@ def _difference(truth, formula):
             lhs, rhs = truth.coefficient(*e), formula.coefficient(*e)
             if lhs != rhs:
                 return e, lhs, rhs
-    if isinstance(truth, (list, set)):
-        return None, len(truth), len(formula)
+    if isinstance(truth, list):
+        return next((None, a, b) for a, b in itertools.zip_longest(truth, formula) if a != b)
+    if isinstance(truth, set):
+        return None, min(truth - formula, default=None), min(formula - truth, default=None)
     return None, truth, formula
 
 

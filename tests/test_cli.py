@@ -327,6 +327,7 @@ _ERROR_CASES = {
     "dist-formula-past-cap": (
         ["dist", "--class", "A1", "--n", str(FORMULA_MAX_N + 1), "--stat", "joint",
          "--source", "formula"], 3),
+    "verify-past-cap": (["verify", "--n-max", str(FORMULA_MAX_N + 1)], 3),
     "fib-4000-digits-past-cap": (["fib", "--n", "9" * 4000], 3),
     "fib-letters": (["fib", "--n", "x" * _N], 2),
     "fib-past-digit-limit": (["fib", "--n", "9" * 5000], 2),
@@ -439,6 +440,31 @@ def test_formula_cap_admits_its_edge(capsys):
     assert main(["genfun", "--class", "A1", "--n", str(FORMULA_MAX_N),
                  "--method", "closed", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == FORMULA_MAX_N
+
+
+def test_genfun_recurrence_matches_oracle(capsys):
+    argv = ["genfun", "--class", "B1", "--n", "7"]
+    assert main(argv + ["--method", "oracle"]) == 0
+    oracle = capsys.readouterr().out
+    assert main(argv + ["--method", "recurrence"]) == 0
+    assert capsys.readouterr().out == oracle
+    assert main(argv + ["--method", "recurrence", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["method"], doc["variant"]) == ("recurrence", None)
+
+
+def test_closed_stdout_exits_4_silently():
+    # the 304 KB member list is more than a pipe holds, so the writer is
+    # still printing when the reader closes its end
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibperm.cli", "enumerate", "--class", "A1", "--n", "18"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"1 2 3 ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (4, b"")
 
 
 def test_argv_cap(capsys):

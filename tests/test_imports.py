@@ -1,0 +1,28 @@
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).parents[1] / "src" / "fibperm"
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """The package modules a source file imports relatively, at any depth;
+    ``from . import name`` imports the package itself, ``__init__``."""
+    return {
+        node.module.split(".")[0] if node.module else "__init__"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+
+
+def test_package_imports_have_no_cycle():
+    # importing one module cannot show a cycle: fibperm/__init__.py imports
+    # nearly every module first
+    graph = {path.stem: _relative_imports(path) for path in PACKAGE.glob("*.py")}
+    assert "genfun" in graph["stats"] and "__init__" in graph["cli"]
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")

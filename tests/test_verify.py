@@ -1,11 +1,12 @@
 import concurrent.futures
+import dataclasses
 import json
 import time
 from math import comb
 
 import pytest
 
-from fibperm import bijections, verify
+from fibperm import bijections, classes, verify
 from fibperm.classes import CLASS_IDS, CLASS_SPECS
 from fibperm.cli import main
 from fibperm.errors import NotInClassError, UnknownIdentityError
@@ -177,6 +178,21 @@ class TestHockeyStick:
         assert code == 0
         assert "overall: PASS" in capsys.readouterr().out
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+class TestDifference:
+    def test_member_lists_show_their_first_differing_entries(self, monkeypatch):
+        # A1 built with A2's core: at n = 3 the generator's last member is
+        # 3 1 2 where the pattern oracle's is 3 2 1
+        a1 = dataclasses.replace(CLASS_SPECS["A1"], shape=CLASS_SPECS["A2"].shape)
+        monkeypatch.setitem(classes.CLASS_SPECS, "A1", a1)
+        report = check_identity("counts", "corrected", n_max=6, class_id="A1")
+        assert verify._found(report) == "first mismatch n=3: lhs (3, 2, 1), rhs (3, 1, 2)"
+
+    def test_list_end_and_set_sides(self):
+        assert verify._difference([(1,), (2, 1)], [(1,)]) == (None, (2, 1), None)
+        assert verify._difference({"dm", "md", "mmm"}, {"dd", "md"}) == (None, "dm", "dd")
+        assert verify._difference({"m"}, {"d", "m"}) == (None, None, "d")
 
 
 class TestStructureOracle:
