@@ -5,7 +5,9 @@ subcommand takes ``--format text|json`` and prints through ``_emit``, the
 one place that reads it; output is byte-deterministic (``verify --stamp``
 is the one opt-in exception).  All JSON, on stdout and in the ``verify
 --report`` twin, is written by ``_dumps``, byte for byte what
-``json.dumps(payload, indent=2)`` writes.
+``json.dumps(payload, indent=2)`` writes.  ``enumerate`` renders its
+member rows from one table of value strings, and prints its text in blocks
+of ``_BLOCK`` members.
 
 Exit codes (``_EXIT_CODES``, applied by ``main`` alone to what a subcommand
 raises): 0 success, 1 verification failure, 2 usage error, 3 size cap
@@ -23,11 +25,10 @@ import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
-from .classes import CLASS_IDS, count, generate
+from .classes import CLASS_IDS, GENERATE_MAX_N, count, generate
 from .bijections import bijection_domain, tiling_bijection
 from .errors import DomainError, SizeLimitError, shorten
 from .fib import fib_number, parse_tiling
@@ -113,7 +114,20 @@ def _nonneg_int(text: str) -> int:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-_ROWS = frozenset((list, tuple))
+# the decimal string of every value a generated member can hold
+_VALUE_STRINGS = tuple(map(str, range(GENERATE_MAX_N + 1)))
+# enumerate text: members per print, so no one string holds the whole list
+_BLOCK = 4096
+
+
+class _Members(list):
+    """An ``enumerate`` member list, which ``_dumps`` writes row by row."""
+
+
+def _rows(members: Iterable[Sequence[int]], sep: str) -> Iterator[str]:
+    """Each member's values as decimal strings joined by ``sep``."""
+    table = _VALUE_STRINGS
+    return (sep.join([table[v] for v in p]) for p in members)
 
 
 @lru_cache(maxsize=None)
@@ -131,27 +145,25 @@ def _dumps(value, depth: int = 0) -> str:
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
     This writes only the newlines and indents of the containers; every
     scalar goes to ``_encoder``, and so does, in one call, every list of
-    scalars and every list of non-empty lists of scalars (the
-    ``enumerate`` members)."""
+    scalars.  A ``_Members`` list of non-empty members is joined from
+    ``_rows`` in one pass.  Each container is put together in one f-string,
+    which copies a large body once where a chain of ``+`` copies it at
+    every step."""
     pad = "\n" + "  " * (depth + 1)
     if isinstance(value, dict) and value:
         items = (json.dumps(k) + ": " + _dumps(v, depth + 1) for k, v in value.items())
         body = ("," + pad).join(items)
-        return "{" + pad + body + pad[:-2] + "}"
+        return f"{{{pad}{body}{pad[:-2]}}}"
     if isinstance(value, (list, tuple)) and value:
-        if _SCALARS.issuperset(map(type, value)):
-            body = _encoder(depth + 1).encode(value)[1:-1]
-        elif (_ROWS.issuperset(map(type, value)) and all(value)
-              and _SCALARS.issuperset(map(type, chain.from_iterable(value)))):
-            # a JSON string escapes every newline, so "]," then a newline
-            # only ever ends a row
+        if type(value) is _Members and value[0]:
             inner = pad + "  "
-            rows = _encoder(depth + 2).encode(value)[2:-2]
-            rows = rows.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
-            body = "[" + inner + rows + pad + "]"
+            rows = (pad + "]," + pad + "[" + inner).join(_rows(value, "," + inner))
+            body = f"[{inner}{rows}{pad}]"
+        elif _SCALARS.issuperset(map(type, value)):
+            body = _encoder(depth + 1).encode(value)[1:-1]
         else:
             body = ("," + pad).join(_dumps(v, depth + 1) for v in value)
-        return "[" + pad + body + pad[:-2] + "]"
+        return f"[{pad}{body}{pad[:-2]}]"
     return _encoder(depth).encode(value)
 
 
@@ -278,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload: dict, text: Callable[[], Iterable]) -> None:
-    """Print ``payload`` as JSON under ``--format json``, else each line of
-    ``text()``.  Both print with the digit limit lifted, so exact big
-    integers print in full."""
+    """Print ``payload`` as JSON under ``--format json``, else each string
+    of ``text()``, one or more lines, with a newline after it.  Both print
+    with the digit limit lifted, so exact big integers print in full."""
     with _exact_int_output():
         if args.format == "json":
             _emit_json(payload)
@@ -302,12 +314,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    members = generate(args.class_id, args.n)
-    _emit(
-        args,
-        {"class": args.class_id, "n": args.n, "members": members},
-        lambda: map(format_permutation, members),
-    )
+    members = _Members(generate(args.class_id, args.n))
+
+    def blocks() -> Iterator[str]:
+        for start in range(0, len(members), _BLOCK):
+            yield "\n".join(_rows(members[start:start + _BLOCK], " "))
+
+    _emit(args, {"class": args.class_id, "n": args.n, "members": members}, blocks)
     return 0
 
 

@@ -255,8 +255,10 @@ def _structure_disagreement(class_id: str, n: int) -> Optional[str]:
 
 def _structure_cases(class_id, variant, b) -> Iterator[Case]:
     for n in range(0, b.n_brute + 1):
+        # the pattern oracle and the parse agree (None), or the note says
+        # where they first part, naming the permutation in every report
         note = _structure_disagreement(class_id, n)
-        yield {"n": n}, 0, int(note is not None), note or ""
+        yield {"n": n}, None, note, note
 
 
 def _decodes(inverse, class_id: str, word: str) -> bool:

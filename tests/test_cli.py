@@ -134,8 +134,8 @@ class TestJsonWriter:
     def test_equals_stdlib_indent_2(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2)
 
-    # the enumerate members' shape, which has a path of its own; an empty
-    # tuple among the rows sends the list down the general path
+    # the enumerate members' shape as a plain list, which takes the general
+    # path: only cmd_enumerate's _Members list is joined from value strings
     @given(st.lists(
         st.lists(_JSON_SCALARS, min_size=1) | st.lists(_JSON_SCALARS).map(tuple)
     ))
@@ -161,6 +161,25 @@ class TestJsonWriter:
             sys.set_int_max_str_digits(limit)
         assert len(want) > 4300
         assert out == want + "\n"
+
+
+def test_every_enumerate_text(capsys):
+    for class_id in CLASS_IDS:
+        for n in range(13):
+            assert main(["enumerate", "--class", class_id, "--n", str(n)]) == 0
+            want = "".join(format_permutation(p) + "\n" for p in generate(class_id, n))
+            assert capsys.readouterr().out == want
+
+
+def test_enumerate_past_one_text_block(capsys):
+    # 10,945 members: text prints them in three blocks
+    members = generate("A1", 20)
+    assert len(members) > 2 * cli._BLOCK
+    assert main(["enumerate", "--class", "A1", "--n", "20"]) == 0
+    assert capsys.readouterr().out == "".join(format_permutation(p) + "\n" for p in members)
+    assert main(["enumerate", "--class", "A1", "--n", "20", "--format", "json"]) == 0
+    payload = {"class": "A1", "n": 20, "members": members}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestExactIntegers:
@@ -455,7 +474,7 @@ def test_genfun_recurrence_matches_oracle(capsys):
 
 def test_closed_stdout_exits_4_silently():
     # the 304 KB member list is more than a pipe holds, so the writer is
-    # still printing when the reader closes its end
+    # still printing its blocks of members when the reader closes its end
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "fibperm.cli", "enumerate", "--class", "A1", "--n", "18"],

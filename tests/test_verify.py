@@ -230,7 +230,8 @@ class TestStructureOracle:
         assert report.status == "fail"
         assert report.notes == "non-member (1, 3, 4, 2) was not rejected by decompose"
 
-    def test_catches_decompose_rejecting_a_member(self, monkeypatch):
+    @staticmethod
+    def reject_1432(monkeypatch):
         real = verify.decompose
 
         def strict(class_id, perm):
@@ -239,10 +240,24 @@ class TestStructureOracle:
             return real(class_id, perm)
 
         monkeypatch.setattr(verify, "decompose", strict)
+
+    def test_catches_decompose_rejecting_a_member(self, monkeypatch):
+        self.reject_1432(monkeypatch)
         report = check_identity("structure-oracle", "corrected", class_id="A1", n_max=6)
         assert report.status == "fail"
-        assert report.first_mismatch == {"parameters": {"n": 4}, "lhs": 0, "rhs": 1}
-        assert report.notes == "member (1, 4, 3, 2) was rejected by decompose"
+        note = "member (1, 4, 3, 2) was rejected by decompose"
+        assert report.first_mismatch == {"parameters": {"n": 4}, "lhs": None, "rhs": note}
+        assert report.notes == note
+
+    def test_every_report_names_the_permutation(self, monkeypatch, capsys):
+        # the text and markdown reports show a failing unit's first mismatch,
+        # not its note, so the mismatch itself carries the permutation
+        self.reject_1432(monkeypatch)
+        found = "first mismatch n=4: lhs None, rhs member (1, 4, 3, 2) was rejected"
+        assert main(["verify", "--identity", "structure-oracle", "--n-max", "6"]) == 1
+        assert capsys.readouterr().out.count(found) == 2  # both A1 variants
+        result = run_verification(["structure-oracle"], n_max=6)
+        assert found in render_markdown(result)
 
     def test_catches_a_failed_round_trip(self, monkeypatch):
         real = verify.compose
