@@ -10,9 +10,10 @@ length-splitting formulas for G_{m+n} from data at m and n.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .classes import class_spec, generate
 from .errors import DomainError, NotEvaluableError, UnsupportedLengthError
@@ -183,16 +184,38 @@ def fib_poly(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def genfun_oracle(class_id: str, n: int) -> Poly:
-    """G_n by enumerating the members.
+    """G_n by enumerating the members: ``fib_stat`` scans each member, and
+    its inversions come from its two halves.
+
+    Cut a member p of 1..n at h = n // 2 into a = p[:h] and b = p[h:].  Each
+    x in a has x - 1 smaller values; C(h, 2) of those pairs lie inside a,
+    and the rest are entries of b after x, each an inversion.  So
+    inv(p) = inv(a) + inv(b) + sum(a) - h(h+1)/2.  The cut is positional,
+    so this holds for every permutation of 1..n.  Members share halves, and
+    a half's inversions do not depend on its side, so each distinct half is
+    counted once, through a dict local to the call.
 
     >>> str(genfun_oracle("A1", 3))
     '1*q^3 + 1*v^3 + 2*v^3*q'
     >>> str(genfun_oracle("B2", 3))
     '1*q^2 + 1*v^3 + 2*v^3*q'
     """
-    return Poly(
-        ((fib_stat(p), inversions(p)), 1) for p in generate(class_id, n)
-    )
+    h = n // 2
+    shift = h * (h + 1) // 2
+    half_inversions: dict[tuple[int, ...], int] = {}
+
+    def pairs() -> Iterator[Exponents]:
+        for p in generate(class_id, n):
+            a, b = p[:h], p[h:]
+            inv_a = half_inversions.get(a)
+            if inv_a is None:
+                inv_a = half_inversions[a] = inversions(a)
+            inv_b = half_inversions.get(b)
+            if inv_b is None:
+                inv_b = half_inversions[b] = inversions(b)
+            yield fib_stat(p), inv_a + inv_b + sum(a) - shift
+
+    return Poly(Counter(pairs()))
 
 
 def genfun_closed(class_id: str, n: int, variant: str = "corrected") -> Poly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .classes import check_class_id, class_spec
 from .errors import DomainError, UnsupportedLengthError
@@ -64,6 +64,11 @@ def check_stat(stat: str) -> str:
     return stat
 
 
+def _check_length(n: int) -> None:
+    if n < 1:
+        raise UnsupportedLengthError(f"the closed forms need n >= 1; got {n}")
+
+
 def fib_inv_count(n: int, k: int) -> int:
     """Number of length-n Fibonacci permutations with k inversions: each of
     the k dominoes contributes one inversion, so this is C(n-k, k).
@@ -93,8 +98,7 @@ def inv_distribution_formula(class_id: str, n: int, k: int) -> int:
     2
     """
     spec = class_spec(class_id)
-    if n < 1:
-        raise UnsupportedLengthError(f"the closed forms need n >= 1; got {n}")
+    _check_length(n)
     if spec.kind == "A":
         e = spec.tail_q_exponent(n)  # the core's inversions, whatever n
         extra = binomial(n - k + e - 2, k - e + 1) if k >= e else 0
@@ -115,8 +119,7 @@ def fib_distribution_formula(class_id: str, n: int, k: int) -> int:
     8
     """
     check_class_id(class_id)
-    if n < 1:
-        raise UnsupportedLengthError(f"the closed forms need n >= 1; got {n}")
+    _check_length(n)
     if k == n:
         return fib_number(n)
     if k < 0 or k > n or k >= n - 2:
@@ -134,8 +137,7 @@ def fib_distribution_stated(n: int, k: int) -> int:
     >>> fib_distribution_formula("A1", 1, 0)
     0
     """
-    if n < 1:
-        raise UnsupportedLengthError(f"the closed forms need n >= 1; got {n}")
+    _check_length(n)
     if 0 <= k <= n:
         return fib_number(k)
     return 0
@@ -159,20 +161,26 @@ def joint_distribution_formula(
     >>> joint_distribution_formula("B2", 5, 2, 3, variant="corrected")
     1
     """
+    (count,) = _joint_row(class_id, n, k, (j,), variant)
+    return count if j >= 0 else 0
+
+
+def _joint_row(
+    class_id: str, n: int, k: int, js: Sequence[int], variant: str
+) -> list[int]:
+    # The joint closed form at statistic k for each inversion count j >= 0
+    # in js, validated and with the head's exponent e found once for the row.
     spec = class_spec(class_id)
     check_variant(variant)
-    if n < 1:
-        raise UnsupportedLengthError(f"the closed forms need n >= 1; got {n}")
-    if k < 0 or j < 0 or k > n:
-        return 0
+    _check_length(n)
+    if k < 0 or k > n or n - 2 <= k < n:
+        return [0] * len(js)
     if k == n:
-        return binomial(k - j, j)
-    if k >= n - 2:
-        return 0
+        return [binomial(k - j, j) for j in js]
     if class_id == "B2" and variant == "paper":
-        return binomial(2 * k + j + 1 - n, j + k + 1 - n)
+        return [binomial(2 * k + j + 1 - n, j + k + 1 - n) for j in js]
     e = spec.tail_q_exponent(n - k)
-    return binomial(k - j + e, j - e)
+    return [binomial(k - j + e, j - e) for j in js]
 
 
 DistKey = Union[int, tuple[int, int]]
@@ -185,7 +193,8 @@ def distribution_formula(
     keyed like the oracle.  Inversion counts run over 0..C(n,2)+inv_margin
     and the statistic over 0..n.  The 'paper' variant evaluates the stated
     forms: F(k) with no impossible band for the statistic, and the stated
-    B2 joint binomial.
+    B2 joint binomial.  The joint form is evaluated one k-row at a time.  A
+    length n < 1 raises UnsupportedLengthError before any pair is made.
 
     >>> dict(distribution_formula("A1", 4, "inv"))
     {0: 1, 1: 3, 2: 1, 3: 2, 4: 0, 5: 0, 6: 0}
@@ -194,6 +203,7 @@ def distribution_formula(
     """
     check_stat(stat)
     check_variant(variant)
+    _check_length(n)
     inv_keys = range(0, comb(n, 2) + inv_margin + 1)
     if stat == "inv":
         return ((k, inv_distribution_formula(class_id, n, k)) for k in inv_keys)
@@ -202,9 +212,9 @@ def distribution_formula(
     if stat == "fib":
         return ((k, fib_distribution_formula(class_id, n, k)) for k in range(0, n + 1))
     return (
-        ((k, j), joint_distribution_formula(class_id, n, k, j, variant))
+        ((k, j), count)
         for k in range(0, n + 1)
-        for j in inv_keys
+        for j, count in zip(inv_keys, _joint_row(class_id, n, k, inv_keys, variant))
     )
 
 

@@ -1,10 +1,12 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibperm.classes import CLASS_IDS, count
+from fibperm.classes import CLASS_IDS, count, generate
 from fibperm.errors import NotEvaluableError, UnsupportedLengthError
-from fibperm.fib import fib_number
+from fibperm.fib import fib_number, fib_stat
 from fibperm.genfun import (
     ONE,
     Q,
@@ -17,6 +19,9 @@ from fibperm.genfun import (
     genfun_oracle,
     genfun_recurrence,
 )
+from fibperm.perms import inversions
+
+from helpers import naive_inversions, permutations_up_to
 
 
 def small_polys():
@@ -107,6 +112,26 @@ class TestOracle:
         for cls in CLASS_IDS:
             for n in range(1, 13):
                 assert genfun_oracle(cls, n).evaluate(1, 1) == count(cls, n)
+
+    def test_equals_direct_fold(self):
+        # the oracle counts inversions from memoised halves; this fold
+        # scans each whole member
+        for cls in CLASS_IDS:
+            for n in range(0, 21):
+                direct = Poly(Counter(
+                    (fib_stat(p), inversions(p)) for p in generate(cls, n)
+                ))
+                assert genfun_oracle(cls, n) == direct, (cls, n)
+
+    @given(permutations_up_to(26))
+    def test_cut_identity(self, p):
+        # inv(p) = inv(a) + inv(b) + sum(a) - h(h+1)/2 for a = p[:h],
+        # b = p[h:], at every cut h
+        for h in range(len(p) + 1):
+            a, b = p[:h], p[h:]
+            assert naive_inversions(p) == (
+                naive_inversions(a) + naive_inversions(b) + sum(a) - h * (h + 1) // 2
+            ), (p, h)
 
 
 class TestClosedForm:

@@ -4,9 +4,11 @@ from math import comb
 import pytest
 
 from fibperm.classes import CLASS_IDS, count, generate, patterns_of
+from fibperm.errors import UnsupportedLengthError
 from fibperm.fib import fib_number, tiling_to_perm, tilings
 from fibperm.perms import brute_force_av, inversions
 from fibperm.stats import (
+    VARIANTS,
     binomial,
     distribution_formula,
     distribution_oracle,
@@ -165,11 +167,20 @@ class TestJointDistribution:
         assert oracle.get((2, 3), 0) == 1
 
     def test_guards(self):
-        assert joint_distribution_formula("B2", 5, -1, 0) == 0
-        assert joint_distribution_formula("B2", 5, 0, -1) == 0
-        assert joint_distribution_formula("B2", 5, 6, 0) == 0
         with pytest.raises(ValueError):
             joint_distribution_formula("B2", 5, 2, 3, "wrong")
+        # zero for negative k or j, past k = n and inside the band
+        # n - 2 <= k < n, whatever the class and variant
+        for cls in CLASS_IDS:
+            for variant in VARIANTS:
+                for n in range(1, 13):
+                    band = range(max(n - 2, 0), n)
+                    cells = [(-1, 0), (0, -1), (n, -1), (n + 1, 0)]
+                    cells += [(k, j) for k in band for j in range(comb(n, 2) + 3)]
+                    for k, j in cells:
+                        assert joint_distribution_formula(cls, n, k, j, variant) == 0, (
+                            cls, variant, n, k, j
+                        )
 
 
 class TestDistributionFormula:
@@ -192,6 +203,28 @@ class TestDistributionFormula:
                     (k, j): joint_distribution_formula(cls, n, k, j, "paper")
                     for k, j in joint
                 }
+
+    def test_joint_rows_match_single_cells(self):
+        for cls in CLASS_IDS:
+            for variant in VARIANTS:
+                for n in range(1, 13):
+                    joint = dict(distribution_formula(cls, n, "joint", variant, inv_margin=2))
+                    assert list(joint) == [
+                        (k, j) for k in range(n + 1) for j in range(comb(n, 2) + 3)
+                    ]
+                    for (k, j), value in joint.items():
+                        assert value == joint_distribution_formula(cls, n, k, j, variant), (
+                            cls, variant, n, k, j
+                        )
+
+    def test_short_lengths_refused(self):
+        for n in (-1, 0):
+            for stat in ("inv", "fib", "joint"):
+                for variant in VARIANTS:
+                    with pytest.raises(
+                        UnsupportedLengthError, match=f"the closed forms need n >= 1; got {n}$"
+                    ):
+                        list(distribution_formula("A1", n, stat, variant))
 
     def test_stated_b2_joint_form_reaches_past_c_n_2(self):
         # why the CLI cut at C(n,2) and the verify margin stay separate
