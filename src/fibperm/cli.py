@@ -4,10 +4,10 @@ Subcommands: count, enumerate, dist, genfun, map, fib, verify.  Every
 subcommand takes ``--format text|json`` and prints through ``_emit``, the
 one place that reads it; output is byte-deterministic (``verify --stamp``
 is the one opt-in exception).  All JSON, on stdout and in the ``verify
---report`` twin, is written by ``_dumps``, byte for byte what
-``json.dumps(payload, indent=2)`` writes.  ``enumerate`` renders its
-member rows from one table of value strings, and prints its text in blocks
-of ``_BLOCK`` members.
+--report`` twin, is ``json.dumps(payload, indent=2)``.  ``enumerate``
+renders its member rows from one table of value strings and prints them in
+blocks of ``_BLOCK`` members, in both formats; its JSON stays byte for byte
+what ``json.dumps`` writes.
 
 Exit codes (``_EXIT_CODES``, applied by ``main`` alone to what a subcommand
 raises): 0 success, 1 verification failure, 2 usage error, 3 size cap
@@ -113,62 +113,38 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
 # the decimal string of every value a generated member can hold
 _VALUE_STRINGS = tuple(map(str, range(GENERATE_MAX_N + 1)))
-# enumerate text: members per print, so no one string holds the whole list
+# enumerate: members per print, so no one string holds the whole list
 _BLOCK = 4096
 
 
-class _Members(list):
-    """An ``enumerate`` member list, which ``_dumps`` writes row by row."""
-
-
-def _rows(members: Iterable[Sequence[int]], sep: str) -> Iterator[str]:
-    """Each member's values as decimal strings joined by ``sep``."""
+def _member_blocks(
+    members: Sequence[Sequence[int]], sep: str, between: str = "\n"
+) -> Iterator[str]:
+    """The rows of ``members``, each its values as decimal strings joined by
+    ``sep``, joined by ``between`` in strings of ``_BLOCK`` rows.  ``between``
+    starts with a newline, so printing the strings one per line joins every
+    row by it."""
     table = _VALUE_STRINGS
-    return (sep.join([table[v] for v in p]) for p in members)
+    for start in range(0, len(members), _BLOCK):
+        block = members[start:start + _BLOCK]
+        rows = between.join([sep.join([table[v] for v in p]) for p in block])
+        yield f"{between[1:]}{rows}" if start else rows
 
 
-@lru_cache(maxsize=None)
-def _encoder(depth: int) -> json.JSONEncoder:
-    """The stdlib encoder whose item separator ends in the indent of
-    ``depth``; it has no ``indent`` itself, so it runs in C where ``_json``
-    is built."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
-
-
-def _dumps(value, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for ``value`` nested
-    at ``depth``: dicts with str keys, lists, tuples and scalars.
-
-    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set.
-    This writes only the newlines and indents of the containers; every
-    scalar goes to ``_encoder``, and so does, in one call, every list of
-    scalars.  A ``_Members`` list of non-empty members is joined from
-    ``_rows`` in one pass.  Each container is put together in one f-string,
-    which copies a large body once where a chain of ``+`` copies it at
-    every step."""
-    pad = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict) and value:
-        items = (json.dumps(k) + ": " + _dumps(v, depth + 1) for k, v in value.items())
-        body = ("," + pad).join(items)
-        return f"{{{pad}{body}{pad[:-2]}}}"
-    if isinstance(value, (list, tuple)) and value:
-        if type(value) is _Members and value[0]:
-            inner = pad + "  "
-            rows = (pad + "]," + pad + "[" + inner).join(_rows(value, "," + inner))
-            body = f"[{inner}{rows}{pad}]"
-        elif _SCALARS.issuperset(map(type, value)):
-            body = _encoder(depth + 1).encode(value)[1:-1]
-        else:
-            body = ("," + pad).join(_dumps(v, depth + 1) for v in value)
-        return f"[{pad}{body}{pad[:-2]}]"
-    return _encoder(depth).encode(value)
-
-
-def _emit_json(payload: dict) -> None:
-    print(_dumps(payload))
+def _emit_json(payload: dict, members: Optional[Sequence[Sequence[int]]] = None) -> None:
+    """Print ``json.dumps(payload, indent=2)``, with ``members`` as its last
+    key if given.  Non-empty members are printed as blocks of rows, byte for
+    byte as ``json.dumps`` writes them, so no one string holds them all."""
+    if not (members and members[0]):
+        print(json.dumps(payload if members is None else {**payload, "members": members},
+                         indent=2))
+        return
+    print(json.dumps(payload, indent=2)[:-2] + ',\n  "members": [\n    [\n      ', end="")
+    for block in _member_blocks(members, ",\n      ", "\n    ],\n    [\n      "):
+        print(block)
+    print("    ]\n  ]\n}")
 
 
 def _check_cap(option: str, value: int, cap: int) -> None:
@@ -289,13 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text: Callable[[], Iterable]) -> None:
-    """Print ``payload`` as JSON under ``--format json``, else each string
-    of ``text()``, one or more lines, with a newline after it.  Both print
-    with the digit limit lifted, so exact big integers print in full."""
+def _emit(args, payload: dict, text: Callable[[], Iterable], members=None) -> None:
+    """Print ``payload`` (and ``enumerate``'s ``members``) through ``_emit_json``
+    under ``--format json``, else each string of ``text()``, one or more lines,
+    with a newline after it.  Both print with the digit limit lifted, so exact
+    big integers print in full."""
     with _exact_int_output():
         if args.format == "json":
-            _emit_json(payload)
+            _emit_json(payload, members)
         else:
             for line in text():
                 print(line)
@@ -314,13 +291,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    members = _Members(generate(args.class_id, args.n))
-
-    def blocks() -> Iterator[str]:
-        for start in range(0, len(members), _BLOCK):
-            yield "\n".join(_rows(members[start:start + _BLOCK], " "))
-
-    _emit(args, {"class": args.class_id, "n": args.n, "members": members}, blocks)
+    members = generate(args.class_id, args.n)
+    payload = {"class": args.class_id, "n": args.n}
+    _emit(args, payload, lambda: _member_blocks(members, " "), members)
     return 0
 
 
@@ -430,7 +403,7 @@ def cmd_verify(args) -> int:
         json_path = args.report if ext == ".json" else base + ".json"
         reports = (
             (md_path, render_markdown(result, stamp=stamp)),
-            (json_path, _dumps(doc) + "\n"),
+            (json_path, json.dumps(doc, indent=2) + "\n"),
         )
         for path, text in reports:
             try:

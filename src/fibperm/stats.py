@@ -193,14 +193,16 @@ def distribution_formula(
     keyed like the oracle.  Inversion counts run over 0..C(n,2)+inv_margin
     and the statistic over 0..n.  The 'paper' variant evaluates the stated
     forms: F(k) with no impossible band for the statistic, and the stated
-    B2 joint binomial.  The joint form is evaluated one k-row at a time.  A
-    length n < 1 raises UnsupportedLengthError before any pair is made.
+    B2 joint binomial.  The joint form is evaluated one k-row at a time.  An
+    unknown class, statistic or variant raises DomainError, and a length
+    n < 1 UnsupportedLengthError, before any pair is made.
 
     >>> dict(distribution_formula("A1", 4, "inv"))
     {0: 1, 1: 3, 2: 1, 3: 2, 4: 0, 5: 0, 6: 0}
     >>> [v for _, v in distribution_formula("B1", 1, "fib", "paper")]
     [1, 1]
     """
+    check_class_id(class_id)
     check_stat(stat)
     check_variant(variant)
     _check_length(n)

@@ -8,8 +8,6 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from fibperm import cli
 from fibperm.bijections import phi
@@ -112,35 +110,9 @@ def test_golden_dist_formula_all(capsys):
     assert "".join(blocks) == expected
 
 
-_ESCAPES = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800é€😀 a')
-_JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text() | _ESCAPES
-)
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda children: (
-        st.lists(children) | st.lists(children).map(tuple)
-        | st.dictionaries(st.text() | _ESCAPES, children)
-    ),
-    max_leaves=40,
-)
-
-
 class TestJsonWriter:
-    """``cli._dumps`` writes what ``json.dumps(value, indent=2)`` writes."""
-
-    @given(_JSON_VALUES)
-    def test_equals_stdlib_indent_2(self, value):
-        assert cli._dumps(value) == json.dumps(value, indent=2)
-
-    # the enumerate members' shape as a plain list, which takes the general
-    # path: only cmd_enumerate's _Members list is joined from value strings
-    @given(st.lists(
-        st.lists(_JSON_SCALARS, min_size=1) | st.lists(_JSON_SCALARS).map(tuple)
-    ))
-    def test_lists_of_scalar_lists(self, value):
-        assert cli._dumps(value) == json.dumps(value, indent=2)
+    """JSON output is what ``json.dumps(payload, indent=2)`` writes, also where
+    ``enumerate`` prints its member rows in blocks."""
 
     def test_every_enumerate_payload(self, capsys):
         for class_id in CLASS_IDS:
@@ -180,6 +152,22 @@ def test_enumerate_past_one_text_block(capsys):
     assert main(["enumerate", "--class", "A1", "--n", "20", "--format", "json"]) == 0
     payload = {"class": "A1", "n": 20, "members": members}
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_enumerate_block_seams(block, monkeypatch, capsys):
+    # every row is a block, or a block ends mid-list and one ends short
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    for class_id in CLASS_IDS:
+        for n in range(9):
+            members = generate(class_id, n)
+            assert main(["enumerate", "--class", class_id, "--n", str(n)]) == 0
+            want = "".join(format_permutation(p) + "\n" for p in members)
+            assert capsys.readouterr().out == want
+            assert main(["enumerate", "--class", class_id, "--n", str(n),
+                         "--format", "json"]) == 0
+            payload = {"class": class_id, "n": n, "members": members}
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestExactIntegers:
@@ -472,15 +460,20 @@ def test_genfun_recurrence_matches_oracle(capsys):
     assert (doc["method"], doc["variant"]) == ("recurrence", None)
 
 
-def test_closed_stdout_exits_4_silently():
-    # the 304 KB member list is more than a pipe holds, so the writer is
-    # still printing its blocks of members when the reader closes its end
+@pytest.mark.parametrize(
+    "fmt, first_line", [("text", b"1 2 3 "), ("json", b"{\n")], ids=["text", "json"]
+)
+def test_closed_stdout_exits_4_silently(fmt, first_line):
+    # the member list (304 KB as text) is more than a pipe holds, so the
+    # writer is still printing its blocks of members when the reader closes
+    # its end
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "fibperm.cli", "enumerate", "--class", "A1", "--n", "18"],
+        [sys.executable, "-m", "fibperm.cli", "enumerate", "--class", "A1", "--n", "18",
+         "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert proc.stdout.readline().startswith(b"1 2 3 ")
+    assert proc.stdout.readline().startswith(first_line)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (4, b"")

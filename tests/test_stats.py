@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from fibperm.classes import CLASS_IDS, count, generate, patterns_of
-from fibperm.errors import UnsupportedLengthError
+from fibperm.errors import DomainError, UnsupportedLengthError
 from fibperm.fib import fib_number, tiling_to_perm, tilings
 from fibperm.perms import brute_force_av, inversions
 from fibperm.stats import (
@@ -225,6 +225,13 @@ class TestDistributionFormula:
                         UnsupportedLengthError, match=f"the closed forms need n >= 1; got {n}$"
                     ):
                         list(distribution_formula("A1", n, stat, variant))
+
+    def test_unknown_class_refused_at_the_call(self):
+        # the stated fib form takes no class, so nothing downstream checks it
+        for stat in ("inv", "fib", "joint"):
+            for variant in VARIANTS:
+                with pytest.raises(DomainError, match="unknown class 'Z9'"):
+                    distribution_formula("Z9", 3, stat, variant)
 
     def test_stated_b2_joint_form_reaches_past_c_n_2(self):
         # why the CLI cut at C(n,2) and the verify margin stay separate
