@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
-from .errors import (
-    DomainError,
-    InvalidDecompositionError,
-    NotInClassError,
-    SizeLimitError,
-    UnsupportedLengthError,
-)
+from .errors import DomainError, NotInClassError, SizeLimitError, shorten
 from .fib import extend_fibonacci, fib_number, fib_stat, is_fibonacci
 from .perms import Perm, PatternSet, direct_sum, make_pattern_set, make_permutation
 
@@ -155,7 +149,7 @@ def count(class_id: str, n: int) -> int:
     """
     check_class_id(class_id)
     if n < 1:
-        raise UnsupportedLengthError(f"the count formula needs n >= 1; got {n}")
+        raise DomainError(f"the count formula needs n >= 1; got {n}")
     return fib_number(n + 1) - 1
 
 
@@ -182,9 +176,10 @@ def generate(class_id: str, n: int) -> list[Perm]:
     """
     spec = class_spec(class_id)
     if n < 0:
-        raise UnsupportedLengthError(f"length {n} is negative")
+        raise DomainError(f"length {n} is negative")
     if n > GENERATE_MAX_N:
-        raise SizeLimitError(f"generation is capped at n = {GENERATE_MAX_N}; got {n}")
+        raise SizeLimitError(f"generation is capped at n = {GENERATE_MAX_N}; "
+                             f"got {shorten(str(n))}")
     # Fibonacci members start 1 or 2 1 and B pre-parts 3, 4, ... or 2 3 1,
     # 2 3 4 1, ..., so only A heads past length 3, which start 1, need a sort
     members = extend_fibonacci([], (), n)
@@ -227,7 +222,7 @@ def decompose(class_id: str, perm: Sequence[int]) -> Decomposition:
     if spec.kind == "A":
         head_length = len(p) - fib_len
     elif not p:
-        raise UnsupportedLengthError("the empty permutation has no pre-part")
+        raise DomainError("the empty permutation has no pre-part")
     else:
         head_length = p.index(1) + 1
     if len(p) - head_length > fib_len or p[:head_length] != spec.head(head_length):
@@ -247,10 +242,10 @@ def compose(class_id: str, decomposition: Decomposition) -> Perm:
     head_length = decomposition.head_length
     tail = make_permutation(decomposition.tail)
     if not is_fibonacci(tail):
-        raise InvalidDecompositionError(f"tail {tail} is not a Fibonacci permutation")
+        raise DomainError(f"tail {tail} is not a Fibonacci permutation")
     # an A-type head is empty or ends in the three-value core; a B-type head
     # holds at least the value 1
     valid = (head_length == 0 or head_length >= 3) if spec.kind == "A" else head_length >= 1
     if not valid:
-        raise InvalidDecompositionError(f"{class_id} has no head of length {head_length}")
+        raise DomainError(f"{class_id} has no head of length {head_length}")
     return spec.build(head_length, tail)

@@ -61,6 +61,8 @@ FORMULA_MAX_N = 200
 ARGV_MAX = 64
 # unrecognized arguments shown in a usage error
 _SHOWN_WORDS = 8
+# a usage error's stderr stays under this many bytes
+_ERROR_BYTES = 300
 
 # a quoted value in a usage error (argparse shows a value as its repr), or
 # a bare word such as an unrecognized argument
@@ -74,11 +76,15 @@ def _shorten_word(match: re.Match) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose usage errors show each value they quote
-    shortened to 20 characters; ``add_subparsers`` makes every subcommand
-    parser one too."""
+    shortened to 20 characters, and the usage only where stderr then stays
+    under ``_ERROR_BYTES`` (verify's usage alone is longer);
+    ``add_subparsers`` makes every subcommand parser one too."""
 
     def error(self, message: str):
-        super().error(_MESSAGE_WORD.sub(_shorten_word, message))
+        line = f"{self.prog}: error: {_MESSAGE_WORD.sub(_shorten_word, message)}\n"
+        if len((self.format_usage() + line).encode()) < _ERROR_BYTES:
+            self.print_usage(sys.stderr)
+        self.exit(2, line)
 
     def parse_args(self, args=None, namespace=None):
         # argparse's own parse_args, but the one message whose word count

@@ -13,12 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import (
-    MalformedTilingError,
-    NotFibonacciError,
-    SizeLimitError,
-    UnsupportedLengthError,
-)
+from .errors import DomainError, SizeLimitError
 from .perms import Perm
 
 # The length-n Fibonacci permutations are exactly Av_n of these patterns.
@@ -51,7 +46,7 @@ def fib_number(n: int) -> int:
     [1, 1, 2, 3, 5, 8, 13, 21]
     """
     if n < 0:
-        raise UnsupportedLengthError(f"F({n}) is not defined here")
+        raise DomainError(f"F({n}) is not defined here")
     # Fast doubling (Knuth, TAOCP vol. 1, 1.2.8) on the standard numbers
     # f(0) = 0, f(1) = 1, where F(n) = f(n + 1): from (f(k), f(k + 1)),
     # f(2k) = f(k) (2 f(k + 1) - f(k)) and f(2k + 1) = f(k)^2 + f(k + 1)^2.
@@ -88,7 +83,7 @@ def _tilings(cells: int) -> tuple[str, ...]:
 
 def _check_cells(cells: int) -> None:
     if cells < 0:
-        raise UnsupportedLengthError(f"a strip cannot have {cells} cells")
+        raise DomainError(f"a strip cannot have {cells} cells")
     if cells > TILINGS_MAX_CELLS:
         raise SizeLimitError(
             f"tiling enumeration is capped at {TILINGS_MAX_CELLS} cells; got {cells}"
@@ -143,10 +138,10 @@ def parse_tiling(text: str) -> str:
     'mdm'
     """
     if not text:
-        raise MalformedTilingError("a tiling word must be nonempty")
+        raise DomainError("a tiling word must be nonempty")
     for ch in text:
         if ch not in "md":
-            raise MalformedTilingError(f"bad tile {ch!r}; expected 'm' or 'd'")
+            raise DomainError(f"bad tile {ch!r}; expected 'm' or 'd'")
     return text
 
 
@@ -175,7 +170,7 @@ def tiling_to_perm(word: str) -> Perm:
             out.extend((v + 1, v))
             v += 2
         else:
-            raise MalformedTilingError(f"bad tile {ch!r}; expected 'm' or 'd'")
+            raise DomainError(f"bad tile {ch!r}; expected 'm' or 'd'")
     return tuple(out)
 
 
@@ -186,7 +181,7 @@ def perm_to_tiling(perm: Sequence[int]) -> str:
     'mdmmd'
     """
     if not is_fibonacci(perm):
-        raise NotFibonacciError(f"{perm} is not a Fibonacci permutation")
+        raise DomainError(f"{perm} is not a Fibonacci permutation")
     # at position i sits a monomino i, a domino's top i+1 or its skipped bottom
     return "".join("m" if v == i else "d" for i, v in enumerate(perm, 1) if v >= i)
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .classes import class_spec, generate
-from .errors import DomainError, NotEvaluableError, UnsupportedLengthError
+from .errors import DomainError, NotEvaluableError
 from .fib import fib_stat
 from .perms import inversions
 
@@ -50,7 +50,6 @@ def check_variant(variant: str) -> str:
 
 
 Exponents = tuple[int, int]
-TermsInput = Union[Mapping[Exponents, int], Iterable[tuple[Exponents, int]], None]
 
 
 class Poly:
@@ -65,15 +64,12 @@ class Poly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: TermsInput = None):
-        data: dict[Exponents, int] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for (v_exp, q_exp), coeff in items:
-                if v_exp < 0 or q_exp < 0:
-                    raise DomainError(f"negative exponent in v^{v_exp}*q^{q_exp}")
-                data[(v_exp, q_exp)] = data.get((v_exp, q_exp), 0) + coeff
-        self._terms = {e: c for e, c in data.items() if c}
+    def __init__(self, terms: Optional[Mapping[Exponents, int]] = None):
+        terms = terms or {}
+        for v_exp, q_exp in terms:
+            if v_exp < 0 or q_exp < 0:
+                raise DomainError(f"negative exponent in v^{v_exp}*q^{q_exp}")
+        self._terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
     def monomial(cls, coeff: int, v_exp: int, q_exp: int) -> "Poly":
@@ -121,12 +117,6 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms())
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -178,7 +168,7 @@ def fib_poly(n: int) -> Poly:
     True
     """
     if n < 0:
-        raise UnsupportedLengthError(f"F_{n}(q) is not defined here")
+        raise DomainError(f"F_{n}(q) is not defined here")
     return Poly({(0, k): comb(n - k, k) for k in range(n // 2 + 1)})
 
 
@@ -233,7 +223,7 @@ def genfun_closed(class_id: str, n: int, variant: str = "corrected") -> Poly:
     spec = class_spec(class_id)
     check_variant(variant)
     if n < 3:
-        raise UnsupportedLengthError(f"the summation formula needs n >= 3; got {n}")
+        raise DomainError(f"the summation formula needs n >= 3; got {n}")
     total = _vpow(n) * fib_poly(n)
     for j in range(n - 2):
         q_exp = spec.tail_q_exponent(j if variant == "paper" else n - j)
@@ -256,7 +246,7 @@ def genfun_recurrence(class_id: str, n: int) -> Poly:
     """
     spec = class_spec(class_id)
     if n < 1:
-        raise UnsupportedLengthError(f"the recurrence starts at n = 1; got {n}")
+        raise DomainError(f"the recurrence starts at n = 1; got {n}")
     g_prev = V
     g_cur = V * V + Q * V * V
     if n == 1:
@@ -281,9 +271,7 @@ def genfun_addition(
     spec = class_spec(class_id)
     check_variant(variant)
     if m < 2 or n < 2:
-        raise UnsupportedLengthError(
-            f"the addition formulas need m, n >= 2; got ({m}, {n})"
-        )
+        raise DomainError(f"the addition formulas need m, n >= 2; got ({m}, {n})")
     g_m = genfun_oracle(class_id, m)
     g_m1 = genfun_oracle(class_id, m - 1)
     g_n = genfun_oracle(class_id, n)

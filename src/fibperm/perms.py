@@ -16,14 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import (
-    DomainError,
-    DuplicateValueError,
-    OutOfRangeValueError,
-    SizeLimitError,
-    UnsupportedLengthError,
-    shorten,
-)
+from .errors import DomainError, SizeLimitError, shorten
 
 Perm = tuple[int, ...]
 PatternSet = frozenset[Perm]
@@ -67,9 +60,9 @@ def make_permutation(values: Iterable[int]) -> Perm:
     seen = [False] * (n + 1)
     for v in perm:
         if not 1 <= v <= n:
-            raise OutOfRangeValueError(f"value {v} outside 1..{n}")
+            raise DomainError(f"value {v} outside 1..{n}")
         if seen[v]:
-            raise DuplicateValueError(f"value {v} appears twice")
+            raise DomainError(f"value {v} appears twice")
         seen[v] = True
     return perm
 
@@ -82,10 +75,10 @@ def make_pattern_set(patterns: Iterable[Sequence[int]]) -> PatternSet:
     """
     out = frozenset(make_permutation(p) for p in patterns)
     if not out:
-        raise UnsupportedLengthError("a pattern set must be nonempty")
+        raise DomainError("a pattern set must be nonempty")
     for p in out:
         if len(p) < 3:
-            raise UnsupportedLengthError(f"pattern {p} shorter than 3")
+            raise DomainError(f"pattern {p} shorter than 3")
     return out
 
 
@@ -99,7 +92,7 @@ def standardize(values: Sequence[int]) -> Perm:
     """
     ranks = {v: i + 1 for i, v in enumerate(sorted(values))}
     if len(ranks) != len(values):
-        raise DuplicateValueError("values to standardize must be distinct")
+        raise DomainError("values to standardize must be distinct")
     return tuple(ranks[v] for v in values)
 
 
@@ -232,7 +225,7 @@ def brute_force_av(n: int, patterns: Iterable[Sequence[int]]) -> list[Perm]:
     8
     """
     if n < 0:
-        raise UnsupportedLengthError(f"length {n} is negative")
+        raise DomainError(f"length {n} is negative")
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(
             f"brute force is capped at n = {BRUTE_FORCE_MAX_N}; got {n}"

@@ -16,7 +16,7 @@ from math import comb
 from typing import Iterator, Sequence, Union
 
 from .classes import check_class_id, class_spec
-from .errors import DomainError, UnsupportedLengthError
+from .errors import DomainError
 from .fib import fib_number
 from .genfun import VARIANTS, check_variant, genfun_oracle
 
@@ -66,7 +66,7 @@ def check_stat(stat: str) -> str:
 
 def _check_length(n: int) -> None:
     if n < 1:
-        raise UnsupportedLengthError(f"the closed forms need n >= 1; got {n}")
+        raise DomainError(f"the closed forms need n >= 1; got {n}")
 
 
 def fib_inv_count(n: int, k: int) -> int:
@@ -79,7 +79,7 @@ def fib_inv_count(n: int, k: int) -> int:
     3
     """
     if n < 0:
-        raise UnsupportedLengthError(f"length {n} is negative")
+        raise DomainError(f"length {n} is negative")
     return binomial(n - k, k)
 
 
@@ -97,13 +97,27 @@ def inv_distribution_formula(class_id: str, n: int, k: int) -> int:
     >>> inv_distribution_formula("B2", 5, 3)
     2
     """
+    return _inv_row(class_id, n, (k,))[0]
+
+
+def _inv_row(class_id: str, n: int, ks: Sequence[int]) -> list[int]:
+    # The inversion closed form for each k in ks, validated once.  A B-type
+    # sum is taken term by term: head(h) with d dominoes in its tail adds
+    # C(n-h-d, d) at k = e(h) + d, which can be at most C(n, 2).
     spec = class_spec(class_id)
     _check_length(n)
     if spec.kind == "A":
         e = spec.tail_q_exponent(n)  # the core's inversions, whatever n
-        extra = binomial(n - k + e - 2, k - e + 1) if k >= e else 0
-        return fib_inv_count(n, k) + extra
-    return sum(fib_inv_count(n - h, k - spec.tail_q_exponent(h)) for h in range(1, n + 1))
+        return [
+            fib_inv_count(n, k) + (binomial(n - k + e - 2, k - e + 1) if k >= e else 0)
+            for k in ks
+        ]
+    row = [0] * (comb(n, 2) + 1)
+    for h in range(1, n + 1):
+        e, rest = spec.tail_q_exponent(h), n - h
+        for d in range(rest // 2 + 1):
+            row[e + d] += comb(rest - d, d)
+    return [row[k] if 0 <= k < len(row) else 0 for k in ks]
 
 
 def fib_distribution_formula(class_id: str, n: int, k: int) -> int:
@@ -193,9 +207,9 @@ def distribution_formula(
     keyed like the oracle.  Inversion counts run over 0..C(n,2)+inv_margin
     and the statistic over 0..n.  The 'paper' variant evaluates the stated
     forms: F(k) with no impossible band for the statistic, and the stated
-    B2 joint binomial.  The joint form is evaluated one k-row at a time.  An
-    unknown class, statistic or variant raises DomainError, and a length
-    n < 1 UnsupportedLengthError, before any pair is made.
+    B2 joint binomial.  The inversion form is evaluated as one row, and the
+    joint form one k-row at a time.  An unknown class, statistic, variant or
+    a length n < 1 raises DomainError before any pair is made.
 
     >>> dict(distribution_formula("A1", 4, "inv"))
     {0: 1, 1: 3, 2: 1, 3: 2, 4: 0, 5: 0, 6: 0}
@@ -208,7 +222,7 @@ def distribution_formula(
     _check_length(n)
     inv_keys = range(0, comb(n, 2) + inv_margin + 1)
     if stat == "inv":
-        return ((k, inv_distribution_formula(class_id, n, k)) for k in inv_keys)
+        return zip(inv_keys, _inv_row(class_id, n, inv_keys))
     if stat == "fib" and variant == "paper":
         return ((k, fib_distribution_stated(n, k)) for k in range(0, n + 1))
     if stat == "fib":

@@ -43,13 +43,7 @@ from .classes import (
     generate,
     patterns_of,
 )
-from .errors import (
-    DomainError,
-    ExcludedTilingError,
-    NotEvaluableError,
-    NotInClassError,
-    UnknownIdentityError,
-)
+from .errors import DomainError, ExcludedTilingError, NotEvaluableError, NotInClassError
 from .fib import fib_number, fib_permutations, tilings
 from .genfun import (
     ONE,
@@ -85,7 +79,10 @@ __all__ = [
     "to_json_doc",
 ]
 
-# Families above these bounds would enumerate beyond the module caps.
+# At any --n-max, bijection-image maps every member up to length 12 and
+# fib-inv tallies every Fibonacci permutation up to length 16: this bounds
+# their time, well inside the module caps (26 for generate, 27 cells for
+# tilings and fib_permutations).  The scalar identities run at least to 30.
 _BIJECTION_MAX_N = 12
 _SCALAR_MIN_RANGE = 30
 _FIB_ENUM_MAX_N = 16
@@ -519,7 +516,7 @@ _FAMILY_BY_ID = {f.identity_id: f for f in FAMILIES}
 def _family(identity_id: str) -> IdentityFamily:
     family = _FAMILY_BY_ID.get(identity_id)
     if family is None:
-        raise UnknownIdentityError(
+        raise DomainError(
             f"unknown identity {identity_id!r}; expected one of {IDENTITY_IDS}"
         )
     return family

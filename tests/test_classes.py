@@ -14,12 +14,7 @@ from fibperm.classes import (
     generate,
     patterns_of,
 )
-from fibperm.errors import (
-    InvalidDecompositionError,
-    NotInClassError,
-    SizeLimitError,
-    UnsupportedLengthError,
-)
+from fibperm.errors import DomainError, NotInClassError, SizeLimitError
 from fibperm.fib import fib_number
 from fibperm.perms import brute_force_av, inversions
 
@@ -78,9 +73,9 @@ class TestCount:
                 assert count(cls, n) == fib_number(n + 1) - 1
 
     def test_domain(self):
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match="^the count formula needs n >= 1; got 0$"):
             count("A1", 0)
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match="^the count formula needs n >= 1; got -3$"):
             count("A1", -3)
 
 
@@ -122,7 +117,7 @@ class TestGenerate:
     def test_limits(self):
         with pytest.raises(SizeLimitError):
             generate("A1", 27)
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match="^length -1 is negative$"):
             generate("A1", -1)
 
 
@@ -180,7 +175,7 @@ class TestDecompose:
                     assert accepted == (perm in members), (cls, perm)
 
     def test_empty_b_is_out_of_scope(self):
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match="^the empty permutation has no pre-part$"):
             decompose("B1", ())
 
 
@@ -196,14 +191,14 @@ class TestCompose:
     def test_invalid_fields(self):
         # an A-type head is empty or ends in the three-value core
         for head_length in (1, 2):
-            with pytest.raises(InvalidDecompositionError):
+            with pytest.raises(DomainError, match=f"^A1 has no head of length {head_length}$"):
                 compose("A1", Decomposition(head_length=head_length, tail=()))
         # the tail must be a Fibonacci permutation
-        with pytest.raises(InvalidDecompositionError):
+        with pytest.raises(DomainError, match=r"^tail \(3, 2, 1\) is not a Fibonacci permutation$"):
             compose("A1", Decomposition(head_length=3, tail=(3, 2, 1)))
-        with pytest.raises(InvalidDecompositionError):
+        with pytest.raises(DomainError, match=r"^tail \(2, 3, 1\) is not a Fibonacci permutation$"):
             compose("B1", Decomposition(head_length=3, tail=(2, 3, 1)))
-        with pytest.raises(InvalidDecompositionError):
+        with pytest.raises(DomainError, match="^B1 has no head of length 0$"):
             compose("B1", Decomposition(head_length=0, tail=(1,)))
 
     def test_image_is_exactly_the_class(self):

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -8,19 +10,21 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibperm import cli
 from fibperm.bijections import phi
-from fibperm.classes import CLASS_IDS, check_class_id, class_spec, generate
+from fibperm.classes import CLASS_IDS, GENERATE_MAX_N, check_class_id, class_spec, generate
 from fibperm.cli import ARGV_MAX, COUNT_MAX_N, FIB_MAX_N, FORMULA_MAX_N, main
 from fibperm.errors import DomainError
 from fibperm.fib import fib_number, tiling_cells
 from fibperm.genfun import Poly
 from fibperm.perms import format_permutation
 from fibperm.stats import STATS, VARIANTS, check_stat, check_variant
-from fibperm.verify import check_identity
+from fibperm.verify import IDENTITY_IDS, check_identity
 
-from helpers import naive_fib_number
+from helpers import naive_fib_number, permutations_up_to
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -110,6 +114,20 @@ def test_golden_dist_formula_all(capsys):
     assert "".join(blocks) == expected
 
 
+def assert_same_output(got: str, want: str) -> None:
+    """Exact equality of two outputs of up to a megabyte.  A mismatch names
+    the first differing line, or the two lengths when one output is a prefix
+    of the other, instead of leaving pytest to diff the whole strings."""
+    if got == want:
+        return
+    pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    for number, (got_line, want_line) in enumerate(pairs, 1):
+        if got_line != want_line:
+            raise AssertionError(f"line {number}: got {got_line!r}, want {want_line!r}")
+    raise AssertionError(f"one output is a prefix of the other: got {len(got)} "
+                         f"characters, want {len(want)}")
+
+
 class TestJsonWriter:
     """JSON output is what ``json.dumps(payload, indent=2)`` writes, also where
     ``enumerate`` prints its member rows in blocks."""
@@ -120,7 +138,7 @@ class TestJsonWriter:
                 assert main(["enumerate", "--class", class_id, "--n", str(n),
                              "--format", "json"]) == 0
                 payload = {"class": class_id, "n": n, "members": generate(class_id, n)}
-                assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+                assert_same_output(capsys.readouterr().out, json.dumps(payload, indent=2) + "\n")
 
     def test_fib_past_the_digit_limit(self, capsys):
         assert main(["fib", "--n", "25000", "--format", "json"]) == 0
@@ -140,7 +158,7 @@ def test_every_enumerate_text(capsys):
         for n in range(13):
             assert main(["enumerate", "--class", class_id, "--n", str(n)]) == 0
             want = "".join(format_permutation(p) + "\n" for p in generate(class_id, n))
-            assert capsys.readouterr().out == want
+            assert_same_output(capsys.readouterr().out, want)
 
 
 def test_enumerate_past_one_text_block(capsys):
@@ -148,10 +166,11 @@ def test_enumerate_past_one_text_block(capsys):
     members = generate("A1", 20)
     assert len(members) > 2 * cli._BLOCK
     assert main(["enumerate", "--class", "A1", "--n", "20"]) == 0
-    assert capsys.readouterr().out == "".join(format_permutation(p) + "\n" for p in members)
+    want = "".join(format_permutation(p) + "\n" for p in members)
+    assert_same_output(capsys.readouterr().out, want)
     assert main(["enumerate", "--class", "A1", "--n", "20", "--format", "json"]) == 0
     payload = {"class": "A1", "n": 20, "members": members}
-    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    assert_same_output(capsys.readouterr().out, json.dumps(payload, indent=2) + "\n")
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -163,11 +182,11 @@ def test_enumerate_block_seams(block, monkeypatch, capsys):
             members = generate(class_id, n)
             assert main(["enumerate", "--class", class_id, "--n", str(n)]) == 0
             want = "".join(format_permutation(p) + "\n" for p in members)
-            assert capsys.readouterr().out == want
+            assert_same_output(capsys.readouterr().out, want)
             assert main(["enumerate", "--class", class_id, "--n", str(n),
                          "--format", "json"]) == 0
             payload = {"class": class_id, "n": n, "members": members}
-            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+            assert_same_output(capsys.readouterr().out, json.dumps(payload, indent=2) + "\n")
 
 
 class TestExactIntegers:
@@ -645,3 +664,102 @@ def test_layer_trace_binds_every_layer():
     assert len(result["hit_ratios"]) == 3
     assert result["calls"]["cli.render"] >= 1
     assert result["calls"]["verify.eq1"] == 2  # check_identity, counted per identity
+
+
+# Flag values for the generated-argv fuzz: (usual values, edge values).  The
+# edges are 0, -1, the cap and the cap plus 1, values of thousands of digits
+# (under and past the interpreter's int() digit limit) and words of the
+# wrong kind.  Every example stays cheap: oracle lengths stop at 14 (apart
+# from the generation cap plus 1), count --n-max at 300 and verify --n-max at
+# 6 (apart from the caps plus 1), --jobs at 2, --m-max at 6 (a larger one is
+# clamped to 24, and gf-addition then takes seconds), and --report paths lie
+# under tmp_path.
+_HUGE = ("9" * 4000, "9" * 5000, "-" + "9" * 1000)
+_WORDS = ("", "x", "3.5", "1e3", "x" * 30)
+
+
+def _ints(top: int, *edges: int, huge=_HUGE):
+    usual = st.integers(0, top).map(str)
+    return usual, st.sampled_from([str(v) for v in edges] + list(huge + _WORDS))
+
+
+def _choice(*good: str):
+    return st.sampled_from(good), st.sampled_from(("Z9", "y" * 30))
+
+
+_LENGTHS = _ints(14, -1, GENERATE_MAX_N + 1, FORMULA_MAX_N + 1)
+_PERMS = (
+    permutations_up_to(8).map(format_permutation),
+    st.sampled_from(["1 a 2", "0 1", "1 1", "4321", "1 " + "9" * 5000, " "]),
+)
+_TILINGS = (st.text(alphabet="md", max_size=40), st.text(alphabet="mdx ", max_size=40))
+
+
+def _flags(tmp: Path) -> dict:
+    fmt = {"--format": _choice("text", "json")}
+    cls = {"--class": _choice(*CLASS_IDS)}
+    return {
+        "count": {**cls, **fmt, "--n-max": _ints(300, 0, -1, COUNT_MAX_N + 1)},
+        "enumerate": {**cls, **fmt, "--n": _LENGTHS},
+        "dist": {**cls, **fmt, "--n": _LENGTHS, "--stat": _choice(*STATS),
+                 "--source": _choice("oracle", "formula"),
+                 "--variant": _choice(*VARIANTS)},
+        "genfun": {**cls, **fmt, "--n": _LENGTHS,
+                   "--method": _choice("oracle", "closed", "recurrence"),
+                   "--variant": _choice(*VARIANTS)},
+        "map": {**cls, **fmt, "--bijection": _choice("phi", "rho"), "--perm": _PERMS,
+                "--tiling": _TILINGS, "--inverse": None},
+        "fib": {**fmt, "--n": _ints(50, -1, FIB_MAX_N, FIB_MAX_N + 1)},
+        "verify": {**fmt, "--identity": _choice("all", *IDENTITY_IDS),
+                   "--n-max": _ints(6, 0, -1, FORMULA_MAX_N + 1),
+                   "--m-max": _ints(6, 0, -1, huge=_HUGE[2:]),
+                   "--variants": _choice("both", "paper", "corrected"),
+                   "--report": (st.sampled_from([str(tmp / "r.md"), str(tmp / "r.json")]),
+                                st.just(str(tmp / "no" / "r.md"))),
+                   "--jobs": (st.sampled_from(["1", "2"]), st.sampled_from(["-1", "0", "x"])),
+                   "--stamp": None},
+    }
+
+
+@st.composite
+def _argv(draw, tmp: Path):
+    flags = _flags(tmp)
+    command = draw(st.sampled_from(sorted(flags) + ["", "x" * 30]))
+    options = flags.get(command, {})
+    # most examples carry each flag, an edge value for one flag in ten and
+    # no stray word, so that most of them get past argparse
+    chosen = [flag for flag in sorted(options) if draw(st.integers(0, 9))]
+    if command == "verify" and "--n-max" not in chosen:
+        chosen.append("--n-max")  # the default, 9, is slower than the bound above
+    words = []
+    for flag in draw(st.permutations(chosen)):
+        if options[flag] is None:
+            words.append([flag])
+        else:
+            usual, edge = options[flag]
+            words.append([flag, draw(edge if not draw(st.integers(0, 9)) else usual)])
+    stray = st.sampled_from(["-h", "--", "--bogus", "y" * 25, "9" * 30, "-"])
+    for word in draw(st.lists(stray, max_size=12)) if not draw(st.integers(0, 3)) else []:
+        words.insert(draw(st.integers(0, len(words))), [word])
+    argv = [command] + [token for word in words for token in word]
+    return argv[:ARGV_MAX]
+
+
+def test_generated_argv_ends_in_a_documented_exit(tmp_path, monkeypatch):
+    # the safety net under every refusal: a documented exit code, no
+    # traceback, and one short refusal whatever the flags hold
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_argv(tmp_path))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        stderr = err.getvalue()
+        assert code in (0, 1, 2, 3, 4), (argv, code)
+        assert "Traceback" not in stderr, argv
+        if code >= 2:
+            assert len(stderr.encode()) < 300, (argv, stderr)
+
+    run()

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from fibperm import fib
 from fibperm.classes import CLASS_IDS, generate
-from fibperm.errors import (
-    MalformedTilingError,
-    NotFibonacciError,
-    SizeLimitError,
-    UnsupportedLengthError,
-)
+from fibperm.errors import DomainError, SizeLimitError
 from fibperm.fib import (
     FIBONACCI_PATTERNS,
     fib_number,
@@ -39,7 +34,7 @@ class TestFibNumber:
         ]
 
     def test_negative_rejected(self):
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match=r"^F\(-1\) is not defined here$"):
             fib_number(-1)
 
     def test_matches_naive(self):
@@ -82,11 +77,11 @@ class TestTilings:
             assert len(tilings(cells)) == fib_number(cells)
 
     def test_limits(self):
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match="^a strip cannot have -1 cells$"):
             tilings(-1)
         with pytest.raises(SizeLimitError):
             tilings(28)
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match="^a strip cannot have -1 cells$"):
             fib_permutations(-1)
         with pytest.raises(SizeLimitError):
             fib_permutations(28)
@@ -98,9 +93,9 @@ class TestTilings:
 
     def test_parse(self):
         assert parse_tiling("mdm") == "mdm"
-        with pytest.raises(MalformedTilingError):
+        with pytest.raises(DomainError, match="^a tiling word must be nonempty$"):
             parse_tiling("")
-        with pytest.raises(MalformedTilingError):
+        with pytest.raises(DomainError, match="^bad tile 'x'; expected 'm' or 'd'$"):
             parse_tiling("mxd")
 
 
@@ -138,9 +133,9 @@ class TestTilingPermCorrespondence:
         assert fib._tilings.cache_info().currsize == 0
 
     def test_non_fibonacci_rejected(self):
-        with pytest.raises(NotFibonacciError):
+        with pytest.raises(DomainError, match=r"^\(2, 3, 1\) is not a Fibonacci permutation$"):
             perm_to_tiling((2, 3, 1))
-        with pytest.raises(NotFibonacciError):
+        with pytest.raises(DomainError, match=r"^\(3, 2, 1\) is not a Fibonacci permutation$"):
             perm_to_tiling((3, 2, 1))
 
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibperm.classes import CLASS_IDS, count, generate
-from fibperm.errors import NotEvaluableError, UnsupportedLengthError
+from fibperm.errors import DomainError, NotEvaluableError
 from fibperm.fib import fib_number, fib_stat
 from fibperm.genfun import (
     ONE,
@@ -159,7 +159,7 @@ class TestClosedForm:
                 genfun_closed("B2", n, "paper")
 
     def test_domain(self):
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match="^the summation formula needs n >= 3; got 2$"):
             genfun_closed("A1", 2, "corrected")
         with pytest.raises(ValueError):
             genfun_closed("A1", 4, "folklore")
@@ -207,7 +207,7 @@ class TestAddition:
         assert truth["B2"].coefficient(0, 3) == 1
 
     def test_domain(self):
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match=r"^the addition formulas need m, n >= 2; got \(1, 2\)$"):
             genfun_addition("A1", 1, 2, "corrected")
-        with pytest.raises(UnsupportedLengthError):
+        with pytest.raises(DomainError, match=r"^the addition formulas need m, n >= 2; got \(2, 1\)$"):
             genfun_addition("A1", 2, 1, "corrected")

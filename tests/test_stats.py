@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from fibperm.classes import CLASS_IDS, count, generate, patterns_of
-from fibperm.errors import DomainError, UnsupportedLengthError
+from fibperm.classes import B_CLASSES, CLASS_IDS, class_spec, count, generate, patterns_of
+from fibperm.errors import DomainError
 from fibperm.fib import fib_number, tiling_to_perm, tilings
 from fibperm.perms import brute_force_av, inversions
 from fibperm.stats import (
@@ -105,6 +105,21 @@ class TestInvDistribution:
     def test_negative_k_is_zero(self):
         for cls in CLASS_IDS:
             assert inv_distribution_formula(cls, 5, -1) == 0
+
+    def test_b_row_matches_the_per_head_sum(self):
+        # the row adds each head's tail terms where they fall; summed per k
+        # instead, head(h) carries e(h) inversions and its Fibonacci tail one
+        # per domino, so k inversions leave k - e(h) dominoes for n - h cells
+        for cls in B_CLASSES:
+            exponent = class_spec(cls).tail_q_exponent
+            for n in range(1, 41):
+                row = dict(distribution_formula(cls, n, "inv", inv_margin=2))
+                assert list(row) == list(range(comb(n, 2) + 3))
+                for k, value in row.items():
+                    assert value == sum(
+                        binomial(n - h - (k - exponent(h)), k - exponent(h))
+                        for h in range(1, n + 1)
+                    ), (cls, n, k)
 
 
 class TestFibDistribution:
@@ -222,7 +237,7 @@ class TestDistributionFormula:
             for stat in ("inv", "fib", "joint"):
                 for variant in VARIANTS:
                     with pytest.raises(
-                        UnsupportedLengthError, match=f"the closed forms need n >= 1; got {n}$"
+                        DomainError, match=f"the closed forms need n >= 1; got {n}$"
                     ):
                         list(distribution_formula("A1", n, stat, variant))
 

@@ -9,7 +9,7 @@ import pytest
 from fibperm import bijections, classes, verify
 from fibperm.classes import CLASS_IDS, CLASS_SPECS
 from fibperm.cli import main
-from fibperm.errors import NotInClassError, UnknownIdentityError
+from fibperm.errors import DomainError, NotInClassError
 from fibperm.fib import fib_stat
 from fibperm.stats import binomial, inv_distribution_formula
 from fibperm.verify import (
@@ -114,9 +114,9 @@ class TestCheckIdentity:
             check_identity("eq1", "paper", class_id="A1")
 
     def test_unknown_identity(self):
-        with pytest.raises(UnknownIdentityError):
+        with pytest.raises(DomainError, match="^unknown identity 'gf-product'; expected one of "):
             check_identity("gf-product", "paper")
-        with pytest.raises(UnknownIdentityError):
+        with pytest.raises(DomainError, match="^unknown identity 'gf-product'; expected one of "):
             run_verification(["gf-product"], n_max=3)
 
     def test_gf_addition_stops_at_the_real_bound(self, monkeypatch):
