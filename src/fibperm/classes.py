@@ -117,7 +117,7 @@ def check_class_id(class_id: str) -> str:
     'B2'
     """
     if class_id not in CLASS_SPECS:
-        raise DomainError(f"unknown class {class_id!r}; expected one of {CLASS_IDS}")
+        raise DomainError(f"unknown class {shorten(class_id)!r}; expected one of {CLASS_IDS}")
     return class_id
 
 

@@ -67,6 +67,8 @@ _ERROR_BYTES = 300
 # a quoted value in a usage error (argparse shows a value as its repr), or
 # a bare word such as an unrecognized argument
 _MESSAGE_WORD = re.compile(r"""(['"])(.*?)\1|\S+""")
+# the list argparse appends to an invalid choice, which grows with the choices
+_CHOICES = re.compile(r" \(choose from .*\)")
 
 
 def _shorten_word(match: re.Match) -> str:
@@ -76,12 +78,16 @@ def _shorten_word(match: re.Match) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose usage errors show each value they quote
-    shortened to 20 characters, and the usage only where stderr then stays
-    under ``_ERROR_BYTES`` (verify's usage alone is longer);
+    shortened to 20 characters, argparse's list of choices only where the
+    line then stays under ``_ERROR_BYTES``, and the usage only where stderr
+    then stays under it too (verify's usage alone is longer);
     ``add_subparsers`` makes every subcommand parser one too."""
 
     def error(self, message: str):
-        line = f"{self.prog}: error: {_MESSAGE_WORD.sub(_shorten_word, message)}\n"
+        message = _MESSAGE_WORD.sub(_shorten_word, message)
+        line = f"{self.prog}: error: {message}\n"
+        if len(line.encode()) >= _ERROR_BYTES:
+            line = f"{self.prog}: error: {_CHOICES.sub('', message)}\n"
         if len((self.format_usage() + line).encode()) < _ERROR_BYTES:
             self.print_usage(sys.stderr)
         self.exit(2, line)

@@ -13,12 +13,12 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .classes import class_spec, generate
-from .errors import DomainError, NotEvaluableError
+from .errors import DomainError, NotEvaluableError, shorten
 from .fib import fib_stat
-from .perms import inversions
+from .perms import Perm, inversions
 
 VARIANTS = ("paper", "corrected")
 
@@ -45,7 +45,7 @@ def check_variant(variant: str) -> str:
     'corrected'
     """
     if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        raise DomainError(f"unknown variant {shorten(variant)!r}; expected one of {VARIANTS}")
     return variant
 
 
@@ -174,36 +174,73 @@ def fib_poly(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def genfun_oracle(class_id: str, n: int) -> Poly:
-    """G_n by enumerating the members: ``fib_stat`` scans each member, and
-    its inversions come from its two halves.
-
-    Cut a member p of 1..n at h = n // 2 into a = p[:h] and b = p[h:].  Each
-    x in a has x - 1 smaller values; C(h, 2) of those pairs lie inside a,
-    and the rest are entries of b after x, each an inversion.  So
-    inv(p) = inv(a) + inv(b) + sum(a) - h(h+1)/2.  The cut is positional,
-    so this holds for every permutation of 1..n.  Members share halves, and
-    a half's inversions do not depend on its side, so each distinct half is
-    counted once, through a dict local to the call.
+    """G_n by enumerating the members and folding them with ``_fold``.
 
     >>> str(genfun_oracle("A1", 3))
     '1*q^3 + 1*v^3 + 2*v^3*q'
     >>> str(genfun_oracle("B2", 3))
     '1*q^2 + 1*v^3 + 2*v^3*q'
     """
+    return _fold(generate(class_id, n), n)
+
+
+def _fold(members: Iterable[Perm], n: int) -> Poly:
+    """Sum of v^fib_stat(p) q^inv(p) over *members*, permutations of 1..n,
+    with both statistics read from each member's two halves.
+
+    Cut p at h = n // 2 into a = p[:h] and b = p[h:].  Each x in a has
+    x - 1 smaller values; C(h, 2) of those pairs lie inside a, and the rest
+    are entries of b after x, each an inversion.  So
+    inv(p) = inv(a) + inv(b) + sum(a) - h(h+1)/2.
+
+    ``fib_stat`` scans p from the right, and while it is inside b its steps
+    depend on b alone: they are the steps of the scan over b shifted down
+    by h.  That scan ends in one of three ways:
+
+    * it stops inside b, and fib_stat(p) is its length;
+    * it reaches the cut, and the scan of p goes on as fib_stat(a);
+    * it stops with one entry left and b[0] = h.  If a[-1] = h + 1, the
+      domino (h+1, h) crosses the cut, and the scan of p goes on with
+      2 + fib_stat(a[:-1]); otherwise it stops there too.
+
+    The cut is positional, so this holds for every permutation of 1..n.
+    Members share halves, so each distinct half is measured once, through
+    dicts local to the call: a member costs two lookups and an add.
+    """
     h = n // 2
     shift = h * (h + 1) // 2
-    half_inversions: dict[tuple[int, ...], int] = {}
+    # a -> the (fib, inv) it adds after a right half whose scan ends in
+    # way 0 (inside b), 1 (at the cut) or 2 (one entry short, b[0] = h)
+    lefts: dict[Perm, tuple[Exponents, Exponents, Exponents]] = {}
+    # b -> (fib, inv, the way its scan ends)
+    rights: dict[Perm, tuple[int, int, int]] = {}
+
+    def left(a: Perm) -> tuple[Exponents, Exponents, Exponents]:
+        inv = inversions(a) + sum(a) - shift
+        straddle = 2 + fib_stat(a[:-1]) if a and a[-1] == h + 1 else 0
+        return (0, inv), (fib_stat(a), inv), (straddle, inv)
+
+    def right(b: Perm) -> tuple[int, int, int]:
+        fib = fib_stat(tuple(v - h for v in b))
+        if fib == len(b):
+            way = 1
+        elif fib == len(b) - 1 and b[0] == h:
+            way = 2
+        else:
+            way = 0
+        return fib, inversions(b), way
 
     def pairs() -> Iterator[Exponents]:
-        for p in generate(class_id, n):
+        for p in members:
             a, b = p[:h], p[h:]
-            inv_a = half_inversions.get(a)
-            if inv_a is None:
-                inv_a = half_inversions[a] = inversions(a)
-            inv_b = half_inversions.get(b)
-            if inv_b is None:
-                inv_b = half_inversions[b] = inversions(b)
-            yield fib_stat(p), inv_a + inv_b + sum(a) - shift
+            a_ways = lefts.get(a)
+            if a_ways is None:
+                a_ways = lefts[a] = left(a)
+            b_stats = rights.get(b)
+            if b_stats is None:
+                b_stats = rights[b] = right(b)
+            fib, inv = a_ways[b_stats[2]]
+            yield fib + b_stats[0], inv + b_stats[1]
 
     return Poly(Counter(pairs()))
 

@@ -16,7 +16,7 @@ from math import comb
 from typing import Iterator, Sequence, Union
 
 from .classes import check_class_id, class_spec
-from .errors import DomainError
+from .errors import DomainError, shorten
 from .fib import fib_number
 from .genfun import VARIANTS, check_variant, genfun_oracle
 
@@ -60,7 +60,7 @@ def check_stat(stat: str) -> str:
     'inv'
     """
     if stat not in STATS:
-        raise DomainError(f"unknown statistic {stat!r}; expected one of {STATS}")
+        raise DomainError(f"unknown statistic {shorten(stat)!r}; expected one of {STATS}")
     return stat
 
 

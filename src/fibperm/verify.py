@@ -43,7 +43,13 @@ from .classes import (
     generate,
     patterns_of,
 )
-from .errors import DomainError, ExcludedTilingError, NotEvaluableError, NotInClassError
+from .errors import (
+    DomainError,
+    ExcludedTilingError,
+    NotEvaluableError,
+    NotInClassError,
+    shorten,
+)
 from .fib import fib_number, fib_permutations, tilings
 from .genfun import (
     ONE,
@@ -289,17 +295,27 @@ def _bijection_cases(class_id, variant, b) -> Iterator[Case]:
 
 
 def _dist_cases(stat: str, note: str, class_id, variant, b) -> Iterator[Case]:
-    # one stream for inv-dist, fib-dist and joint-dist: every key of the
-    # closed form against the enumerated tabulation
+    # one stream for inv-dist, fib-dist and joint-dist: the closed form's
+    # row at each n against the enumerated tabulation.  The oracle holds no
+    # zeros and its keys lie in the formula's key range, so the row agrees
+    # at every key when its nonzero values equal the oracle; only a row that
+    # differs is walked key by key, to its first differing key.
     for n in range(1, b.n_gen + 1):
         oracle = distribution_oracle(class_id, n, stat)
-        pairs = distribution_formula(class_id, n, stat, variant, inv_margin=_INV_MARGIN)
+        pairs = list(
+            distribution_formula(class_id, n, stat, variant, inv_margin=_INV_MARGIN)
+        )
+        if {key: value for key, value in pairs if value} == oracle:
+            continue
         for key, value in pairs:
-            if isinstance(key, tuple):
-                parameters = {"n": n, "k": key[0], "j": key[1]}
-            else:
-                parameters = {"n": n, "k": key}
-            yield parameters, oracle.get(key, 0), value, note
+            truth = oracle.get(key, 0)
+            if truth != value:
+                if isinstance(key, tuple):
+                    parameters = {"n": n, "k": key[0], "j": key[1]}
+                else:
+                    parameters = {"n": n, "k": key}
+                yield parameters, truth, value, note
+                break
 
 
 def _gf_closed_cases(class_id, variant, b) -> Iterator[Case]:
@@ -517,7 +533,7 @@ def _family(identity_id: str) -> IdentityFamily:
     family = _FAMILY_BY_ID.get(identity_id)
     if family is None:
         raise DomainError(
-            f"unknown identity {identity_id!r}; expected one of {IDENTITY_IDS}"
+            f"unknown identity {shorten(identity_id)!r}; expected one of {IDENTITY_IDS}"
         )
     return family
 

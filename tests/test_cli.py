@@ -568,6 +568,39 @@ def test_rejected_names_are_domain_errors():
             call()
 
 
+def test_unknown_names_are_quoted_short():
+    # each check quotes the name it refuses through errors.shorten, so a
+    # short name shows whole and a long one keeps the message short
+    for check in (
+        check_class_id,
+        check_variant,
+        check_stat,
+        lambda name: check_identity(name, "paper"),
+    ):
+        with pytest.raises(DomainError, match="^unknown [a-z]+ 'C1'; expected one of "):
+            check("C1")
+        with pytest.raises(DomainError) as refused:
+            check("x" * 100_000)
+        assert len(str(refused.value)) < 300, str(refused.value)[:40]
+
+
+def test_long_choice_list_leaves_a_usage_error(capsys):
+    # argparse lists every choice of an invalid one; where that line would
+    # reach _ERROR_BYTES, the list goes and the refusal stays
+    parser = cli._Parser(prog="throwaway")
+    parser.add_argument("--pick", choices=[f"a-rather-long-choice-{i:02d}" for i in range(40)])
+    with pytest.raises(SystemExit) as exited:
+        parser.parse_args(["--pick", "bogus"])
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert err == "throwaway: error: argument --pick: invalid choice: 'bogus'\n"
+    short = cli._Parser(prog="throwaway")
+    short.add_argument("--pick", choices=["a", "b"])
+    with pytest.raises(SystemExit):
+        short.parse_args(["--pick", "bogus"])
+    assert "(choose from " in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_report_twin_files(self, tmp_path, capsys):
         target = tmp_path / "report.md"

@@ -1,18 +1,20 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fibperm.classes import CLASS_IDS, count, generate
 from fibperm.errors import DomainError, NotEvaluableError
-from fibperm.fib import fib_number, fib_stat
+from fibperm.fib import fib_number, fib_stat, tiling_cells, tiling_to_perm
 from fibperm.genfun import (
     ONE,
     Q,
     V,
     ZERO,
     Poly,
+    _fold,
     fib_poly,
     genfun_addition,
     genfun_closed,
@@ -21,7 +23,7 @@ from fibperm.genfun import (
 )
 from fibperm.perms import inversions
 
-from helpers import naive_inversions, permutations_up_to
+from helpers import naive_fib_stat, naive_inversions, permutations_up_to
 
 
 def small_polys():
@@ -33,6 +35,23 @@ def small_polys():
             (Poly.monomial(c, v, q) for v, q, c in ts), start=ZERO
         )
     )
+
+
+@st.composite
+def fibonacci_tailed(draw, max_n=26):
+    """A permutation of 1..n, n <= max_n: a random head on 1..m followed by
+    a Fibonacci permutation of m+1..n.  Its Fibonacci suffix is long, so
+    the oracle's scan of the right half often reaches the cut or stops one
+    short of it beside a domino that crosses it, which a random
+    permutation rarely does."""
+    n = draw(st.integers(0, max_n))
+    m = draw(st.integers(0, n))
+    head = draw(st.permutations(range(1, m + 1)))
+    word = ""
+    while tiling_cells(word) < n - m:
+        fits = tiling_cells(word) + 2 <= n - m
+        word += "d" if fits and draw(st.booleans()) else "m"
+    return tuple(head) + tuple(v + m for v in tiling_to_perm(word))
 
 
 class TestPoly:
@@ -114,7 +133,7 @@ class TestOracle:
                 assert genfun_oracle(cls, n).evaluate(1, 1) == count(cls, n)
 
     def test_equals_direct_fold(self):
-        # the oracle counts inversions from memoised halves; this fold
+        # the oracle reads both statistics from memoised halves; this fold
         # scans each whole member
         for cls in CLASS_IDS:
             for n in range(0, 21):
@@ -122,6 +141,23 @@ class TestOracle:
                     (fib_stat(p), inversions(p)) for p in generate(cls, n)
                 ))
                 assert genfun_oracle(cls, n) == direct, (cls, n)
+
+    def test_fold_equals_naive_fold_on_every_short_permutation(self):
+        # every permutation of length <= 8, folded at the oracle's own cut,
+        # as one stream (the halves' memos shared) and one member at a time
+        for n in range(0, 9):
+            perms = list(permutations(range(1, n + 1)))
+            stats = [(naive_fib_stat(p), naive_inversions(p)) for p in perms]
+            assert _fold(perms, n) == Poly(Counter(stats)), n
+            for p, pair in zip(perms, stats):
+                assert _fold([p], n) == Poly({pair: 1}), p
+
+    @given(fibonacci_tailed())
+    @example((1, 3, 2, 4))  # the domino (3, 2) crosses the cut at h = 2
+    @example((2, 1, 4, 3))  # the scan of b = (4, 3) reaches the cut
+    @example((3, 1, 2, 4))  # b[0] = h, but a[-1] is not h + 1
+    def test_fold_on_long_fibonacci_suffixes(self, p):
+        assert _fold([p], len(p)) == Poly({(fib_stat(p), naive_inversions(p)): 1})
 
     @given(permutations_up_to(26))
     def test_cut_identity(self, p):

@@ -195,6 +195,56 @@ class TestDifference:
         assert verify._difference({"m"}, {"d", "m"}) == (None, None, "d")
 
 
+class TestDistRows:
+    # The *-dist families compare each length's row whole and walk only a
+    # row that differs.  One closed-form value of A1 at n = 5 is moved by
+    # one, at a key where it is nonzero, where it is zero inside
+    # 0..C(5, 2), or on the margin past C(5, 2).
+    N_MAX, N = 7, 5
+
+    def target(self, stat, place):
+        row = verify.distribution_formula(
+            "A1", self.N, stat, "corrected", inv_margin=verify._INV_MARGIN
+        )
+        top = comb(self.N, 2)
+        keys = {"nonzero": [], "zero": [], "margin": []}
+        for key, value in row:
+            j = key if stat == "inv" else key[1]
+            keys["margin" if j > top else "zero" if value == 0 else "nonzero"].append(key)
+        return keys[place][-1]
+
+    def key_walk(self, formula, stat):
+        """Where a walk over every key of every row first meets a
+        mismatch, and the mismatch it reports there."""
+        for n in range(1, self.N_MAX + 1):
+            oracle = verify.distribution_oracle("A1", n, stat)
+            for key, value in formula("A1", n, stat, "corrected", verify._INV_MARGIN):
+                if oracle.get(key, 0) != value:
+                    k, j = (key, None) if stat == "inv" else key
+                    parameters = {"n": n, "k": k} if j is None else {"n": n, "k": k, "j": j}
+                    return (n, key), {
+                        "parameters": parameters, "lhs": oracle.get(key, 0), "rhs": value,
+                    }
+        return None, None
+
+    @pytest.mark.parametrize("stat", ["inv", "joint"])
+    @pytest.mark.parametrize("place", ["nonzero", "zero", "margin"])
+    def test_first_mismatch_is_the_key_walks(self, stat, place, monkeypatch):
+        formula = verify.distribution_formula
+        target = (self.N, self.target(stat, place))
+
+        def patched(class_id, n, stat, variant, inv_margin):
+            for key, value in formula(class_id, n, stat, variant, inv_margin):
+                yield key, value + 1 if (n, key) == target else value
+
+        monkeypatch.setattr(verify, "distribution_formula", patched)
+        found, expected = self.key_walk(patched, stat)
+        assert found == target
+        report = check_identity(f"{stat}-dist", "corrected", class_id="A1", n_max=self.N_MAX)
+        assert report.status == "fail"
+        assert report.first_mismatch == expected
+
+
 class TestStructureOracle:
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
