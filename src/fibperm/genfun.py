@@ -16,15 +16,12 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .classes import class_spec, generate
-from .errors import DomainError, NotEvaluableError, shorten
+from .corrections import applied
+from .errors import DomainError, NotEvaluableError
 from .fib import fib_stat
 from .perms import Perm, inversions
 
-VARIANTS = ("paper", "corrected")
-
 __all__ = [
-    "VARIANTS",
-    "check_variant",
     "Poly",
     "ZERO",
     "ONE",
@@ -36,17 +33,6 @@ __all__ = [
     "genfun_recurrence",
     "genfun_addition",
 ]
-
-
-def check_variant(variant: str) -> str:
-    """Return *variant* if known, else raise DomainError.
-
-    >>> check_variant("corrected")
-    'corrected'
-    """
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {shorten(variant)!r}; expected one of {VARIANTS}")
-    return variant
 
 
 Exponents = tuple[int, int]
@@ -258,12 +244,12 @@ def genfun_closed(class_id: str, n: int, variant: str = "corrected") -> Poly:
     '1*q^2 + 1*v^3 + 2*v^3*q'
     """
     spec = class_spec(class_id)
-    check_variant(variant)
+    fixes = applied(variant, "gf-closed", class_id)
     if n < 3:
         raise DomainError(f"the summation formula needs n >= 3; got {n}")
     total = _vpow(n) * fib_poly(n)
     for j in range(n - 2):
-        q_exp = spec.tail_q_exponent(j if variant == "paper" else n - j)
+        q_exp = spec.tail_q_exponent(j if "gf-closed.head-length" not in fixes else n - j)
         if q_exp < 0:
             raise NotEvaluableError(
                 f"{class_id} {variant} summation at n = {n}: "
@@ -306,7 +292,7 @@ def genfun_addition(
     True
     """
     spec = class_spec(class_id)
-    check_variant(variant)
+    fixes = applied(variant, "gf-addition", class_id)
     if m < 2 or n < 2:
         raise DomainError(f"the addition formulas need m, n >= 2; got ({m}, {n})")
     g_m = genfun_oracle(class_id, m)
@@ -316,7 +302,7 @@ def genfun_addition(
     f_n1 = fib_poly(n - 1)
     f_n2 = fib_poly(n - 2)
     main = _vpow(n) * g_m * f_n
-    straddle_v = n + 2 if variant == "paper" else n + 1
+    straddle_v = n + 2 if "gf-addition.straddle" not in fixes else n + 1
     straddle = Q * _vpow(straddle_v) * g_m1 * f_n1
     if spec.kind == "A":
         q_exp = spec.tail_q_exponent(n)  # the core's inversions, whatever n
@@ -329,7 +315,7 @@ def genfun_addition(
             - _vpow(n) * f_n
         )
     if class_id == "B1":
-        if variant == "paper":
+        if "gf-addition.b1-pre-part" not in fixes:
             tail = ZERO
             for i in range(n + 1):
                 tail = tail + _vpow(i) * fib_poly(i) * _qpow(comb(i, 2) + i * m)
@@ -340,6 +326,6 @@ def genfun_addition(
         return main + straddle + tail
     low = _qpow(m) * _vpow(n - 1) * f_n1
     rest = _qpow(m) * (g_n - _vpow(n) * f_n)
-    if variant == "paper":
+    if "gf-addition.b2-missing-term" not in fixes:
         return main + straddle + low + rest
     return main + straddle + low + _qpow(m + 1) * _vpow(n - 2) * f_n2 + rest

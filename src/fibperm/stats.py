@@ -3,10 +3,10 @@ and their joint distribution, as closed forms and as folds of the enumerated G_n
 
 The closed forms use the convention that a binomial coefficient with its
 lower index outside 0..upper is 0.  Where the literature's stated form and
-the enumeration disagree, the formula carries a ``variant`` switch
-(``genfun.VARIANTS``): ``"paper"`` evaluates the form as stated,
-``"corrected"`` the repaired one (they coincide except for the B2 joint
-distribution's binomial).
+the enumeration disagree, the formula takes a ``variant`` (see
+``corrections``): ``"paper"`` evaluates the form as stated, ``"corrected"``
+the repaired one.  They differ in the statistic's distribution (the stated
+F(k) has no impossible band) and in the B2 joint distribution's binomial.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from math import comb
 from typing import Iterator, Sequence, Union
 
 from .classes import check_class_id, class_spec
+from .corrections import VARIANTS, applied, check_variant
 from .errors import DomainError, shorten
 from .fib import fib_number
-from .genfun import VARIANTS, check_variant, genfun_oracle
+from .genfun import genfun_oracle
 
 STATS = ("inv", "fib", "joint")
 
@@ -175,23 +176,22 @@ def joint_distribution_formula(
     >>> joint_distribution_formula("B2", 5, 2, 3, variant="corrected")
     1
     """
-    (count,) = _joint_row(class_id, n, k, (j,), variant)
+    (count,) = _joint_row(class_id, n, k, (j,), applied(variant, "joint-dist", class_id))
     return count if j >= 0 else 0
 
 
 def _joint_row(
-    class_id: str, n: int, k: int, js: Sequence[int], variant: str
+    class_id: str, n: int, k: int, js: Sequence[int], fixes: frozenset[str]
 ) -> list[int]:
     # The joint closed form at statistic k for each inversion count j >= 0
     # in js, validated and with the head's exponent e found once for the row.
     spec = class_spec(class_id)
-    check_variant(variant)
     _check_length(n)
     if k < 0 or k > n or n - 2 <= k < n:
         return [0] * len(js)
     if k == n:
         return [binomial(k - j, j) for j in js]
-    if class_id == "B2" and variant == "paper":
+    if class_id == "B2" and "joint-dist.b2-binomial" not in fixes:
         return [binomial(2 * k + j + 1 - n, j + k + 1 - n) for j in js]
     e = spec.tail_q_exponent(n - k)
     return [binomial(k - j + e, j - e) for j in js]
@@ -218,19 +218,19 @@ def distribution_formula(
     """
     check_class_id(class_id)
     check_stat(stat)
-    check_variant(variant)
+    fixes = applied(variant, f"{stat}-dist", class_id)
     _check_length(n)
     inv_keys = range(0, comb(n, 2) + inv_margin + 1)
     if stat == "inv":
         return zip(inv_keys, _inv_row(class_id, n, inv_keys))
-    if stat == "fib" and variant == "paper":
+    if stat == "fib" and "fib-dist.impossible-band" not in fixes:
         return ((k, fib_distribution_stated(n, k)) for k in range(0, n + 1))
     if stat == "fib":
         return ((k, fib_distribution_formula(class_id, n, k)) for k in range(0, n + 1))
     return (
         ((k, j), count)
         for k in range(0, n + 1)
-        for j, count in zip(inv_keys, _joint_row(class_id, n, k, inv_keys, variant))
+        for j, count in zip(inv_keys, _joint_row(class_id, n, k, inv_keys, fixes))
     )
 
 

@@ -4,11 +4,8 @@ Thirteen identity families are registered, each checked over a parameter
 range against independently computed ground truth (enumeration, brute-force
 filtering, or a second derivation route).  A family is a lazy stream of
 cases (parameters, truth, formula, note); one engine, ``_run_cases``, reads
-a stream up to its first mismatch and turns it into a report.  Every
-identity evaluates under one or both variants: ``paper`` is the identity
-exactly as originally stated, ``corrected`` the repaired form where the
-stated one fails.  The corrections registry records each repair with its
-reason and a concrete counterexample.
+a stream up to its first mismatch and turns it into a report, under one or
+both of the variants that ``corrections`` defines.
 
 A verification run is *resolved* when every (identity, class) unit passes
 in at least one evaluated variant and every correction entry that was
@@ -43,6 +40,7 @@ from .classes import (
     generate,
     patterns_of,
 )
+from .corrections import CORRECTIONS, Correction, applied, corrections_for
 from .errors import (
     DomainError,
     ExcludedTilingError,
@@ -120,19 +118,6 @@ class IdentityReport:
     notes: str
 
 
-@dataclass(frozen=True)
-class Correction:
-    """One registered repair: what changed relative to the stated form,
-    why, and a concrete counterexample.  ``class_id`` None means the repair
-    applies to every class the identity covers."""
-
-    identity_id: str
-    class_id: Optional[str]
-    change: str
-    reason: str
-    counterexample: str
-
-
 def _difference(truth, formula):
     """``(exponent, lhs, rhs)`` where two unequal sides first differ.
 
@@ -176,8 +161,9 @@ def _run_cases(cases: Iterator[Case]) -> tuple[str, Optional[dict], str]:
     return "pass", None, ""
 
 
-def _bounds(class_id, variant, n_max, m_max) -> SimpleNamespace:
+def _bounds(identity_id, class_id, variant, n_max, m_max) -> SimpleNamespace:
     """Every bound the case streams and the range strings use."""
+    fixes = applied(variant, identity_id, class_id)
     n_gen = min(n_max, GENERATE_MAX_N)
     n_scalar = max(_SCALAR_MIN_RANGE, n_max)
     # m, n >= 2 and m + n <= GENERATE_MAX_N, so neither part exceeds this
@@ -194,8 +180,8 @@ def _bounds(class_id, variant, n_max, m_max) -> SimpleNamespace:
         m_add=min(max(n_add if m_max is None else m_max, 2), add_max),
         mn_max=GENERATE_MAX_N,
         # the stated forms: eq1 sums from k = 1, the G_n recurrence holds from n = 2
-        sum_start=1 if variant == "paper" else 0,
-        rec_start=2 if variant == "paper" else 3,
+        sum_start=1 if "eq1.sum-from-0" not in fixes else 0,
+        rec_start=2 if "gf-recurrence.from-3" not in fixes else 3,
         bijection=tiling_bijection(class_id)[0] if class_id else None,
     )
 
@@ -547,110 +533,6 @@ def _resolved(by_variant: dict[str, "IdentityReport"]) -> bool:
     return any(r.status == "pass" for r in by_variant.values())
 
 
-CORRECTIONS: tuple[Correction, ...] = (
-    Correction(
-        identity_id="eq1",
-        class_id=None,
-        change="the sum starts at k = 0 instead of k = 1",
-        reason="F(0) = 1 under this indexing, so dropping the k = 0 term "
-        "leaves the total one short of F(n+2) - 1",
-        counterexample="n = 1: the k >= 1 sum is 1, but F(3) - 1 = 2",
-    ),
-    Correction(
-        identity_id="fib-dist",
-        class_id=None,
-        change="the count is F(k) only for 0 <= k <= n-3, with 0 at "
-        "k in {n-2, n-1} and F(n) at k = n",
-        reason="a Fibonacci suffix of length n-1 or n-2 forces the whole "
-        "member to be Fibonacci, so those statistic values are impossible",
-        counterexample="n = 1, k = 0: F(0) = 1 is claimed, but the only "
-        "member (1) has statistic 1",
-    ),
-    Correction(
-        identity_id="joint-dist",
-        class_id="B2",
-        change="the binomial is C(n-j-1, j+k+1-n) instead of "
-        "C(2k+j+1-n, j+k+1-n)",
-        reason="the upper index must count the free cells of the top part, "
-        "which depends on n-j, not on k",
-        counterexample="(n, k, j) = (5, 2, 3): the stated binomial gives "
-        "C(3, 1) = 3; enumeration finds exactly 1 such member",
-    ),
-    Correction(
-        identity_id="gf-closed",
-        class_id="B1",
-        change="the summand exponent is q^C(n-j, 2) instead of q^C(j, 2)",
-        reason="the j-th summand's pre-part has length n-j, so its "
-        "inversion count is C(n-j, 2)",
-        counterexample="n = 3: the stated form has constant term 1 where "
-        "the enumeration has 0 (member 321 contributes q^3)",
-    ),
-    Correction(
-        identity_id="gf-closed",
-        class_id="B2",
-        change="the summand exponent is q^(n-j-1) instead of q^(j-1)",
-        reason="the j-th summand's pre-part has length n-j and contributes "
-        "n-j-1 inversions; the stated exponent is negative at j = 0",
-        counterexample="n = 3, j = 0: the stated form calls for q^-1 and "
-        "cannot be evaluated",
-    ),
-    Correction(
-        identity_id="gf-recurrence",
-        class_id=None,
-        change="the recurrence applies from n >= 3 (not n >= 2), on the "
-        "bases G_1 = v and G_2 = v^2 + q v^2",
-        reason="at n = 2 the head monomial double-counts: both recursive "
-        "terms already cover all four members",
-        counterexample="n = 2 for B1: the instance gives q + v^2 + q v^2, "
-        "but G_2 = v^2 + q v^2",
-    ),
-    *(
-        Correction(
-            identity_id="gf-addition",
-            class_id=spec.class_id,
-            change="the straddling term's v-power is n+1 instead of n+2",
-            reason="a domino across the cut joins the left part's run to the "
-            "n-1 remaining right cells, leaving statistic n+1",
-            counterexample="(m, n) = (2, 2): the coefficient of v^4 q is 3 by "
-            "enumeration but 2 as stated (the stray mass sits at v^5 q)",
-        )
-        for spec in CLASS_SPECS.values()
-        if spec.kind == "A"
-    ),
-    Correction(
-        identity_id="gf-addition",
-        class_id="B1",
-        change="the straddling term's v-power is n+1, and the pre-part term "
-        "is sum_{i=0}^{n-1} q^C(m+n-i, 2) v^i F_i(q)",
-        reason="members whose pre-part crosses the cut have pre-length "
-        "m+n-i for a length-i top part, giving C(m+n-i, 2) inversions; the "
-        "stated third term tracks the wrong pre-lengths",
-        counterexample="(m, n) = (2, 2): the enumeration needs v q^3 + q^6 "
-        "from crossing pre-parts; the stated form contributes "
-        "v + v^2 q^2 + v^3 q^5 + v^3 q^6 instead",
-    ),
-    Correction(
-        identity_id="gf-addition",
-        class_id="B2",
-        change="the straddling term's v-power is n+1, and the missing term "
-        "q^(m+1) v^(n-2) F_{n-2}(q) is added",
-        reason="a pre-part ending exactly one cell past the cut (length "
-        "m+1, top part length n-2) is not covered by the stated terms",
-        counterexample="(m, n) = (2, 2): the enumeration's q^3 term is "
-        "absent as stated",
-    ),
-)
-
-
-def _corrections_for(identity_id: str, class_id: Optional[str]) -> list[Correction]:
-    """The registered corrections that cover one (identity, class) unit."""
-    return [
-        corr
-        for corr in CORRECTIONS
-        if corr.identity_id == identity_id and corr.class_id in (None, class_id)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # running
 
@@ -665,14 +547,13 @@ def check_identity(
 ) -> IdentityReport:
     """Evaluate one identity under one variant and return its report."""
     family = _family(identity_id)
-    check_variant(variant)
     if family.per_class:
         if class_id is None:
             raise DomainError(f"identity {identity_id!r} is per-class; pass class_id")
         check_class_id(class_id)
     elif class_id is not None:
         raise DomainError(f"identity {identity_id!r} is global; class_id must be None")
-    bounds = _bounds(class_id, variant, n_max, m_max)
+    bounds = _bounds(identity_id, class_id, variant, n_max, m_max)
     status, mismatch, note = _run_cases(family.cases(class_id, variant, bounds))
     return IdentityReport(
         identity_id=identity_id,
@@ -723,7 +604,7 @@ class VerificationResult:
             for key, by_variant in self.units().items()
             if (report := by_variant.get("corrected")) is not None
             and report.status != "pass"
-            and _corrections_for(*key)
+            and corrections_for(*key)
         ]
 
     @property
@@ -868,7 +749,7 @@ def render_markdown(result: VerificationResult, stamp: Optional[str] = None) -> 
             lines.append(
                 f"- corrected: **{corrected.status}** over {corrected.parameter_range}"
             )
-        for corr in _corrections_for(identity_id, class_id):
+        for corr in corrections_for(identity_id, class_id):
             lines += _correction_lines(corr)
         lines.append("")
     lines += ["## Corrections registry", ""]

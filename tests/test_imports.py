@@ -26,3 +26,10 @@ def test_package_imports_have_no_cycle():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_layers_import_only_what_they_stand_on():
+    # the variant registry sits below every formula module, and the pattern
+    # layer stands on nothing that knows the classes or their statistics
+    assert _relative_imports(PACKAGE / "corrections.py") == {"classes", "errors"}
+    assert not _relative_imports(PACKAGE / "perms.py") & {"fib", "classes", "genfun"}

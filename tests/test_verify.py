@@ -1,12 +1,15 @@
+import ast
 import concurrent.futures
 import dataclasses
 import json
 import time
+from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from fibperm import bijections, classes, verify
+from fibperm import bijections, classes, corrections, verify
 from fibperm.classes import CLASS_IDS, CLASS_SPECS
 from fibperm.cli import main
 from fibperm.errors import DomainError, NotInClassError
@@ -149,7 +152,7 @@ class TestCheckIdentity:
 class TestHockeyStick:
     def test_running_sums_match_a_direct_resummation(self):
         n_scalar = 60
-        bounds = verify._bounds(None, "corrected", n_scalar, None)
+        bounds = verify._bounds("hockey-stick", None, "corrected", n_scalar, None)
         assert bounds.n_scalar == n_scalar
         expected = [
             ({"n": n, "r": r}, sum(comb(i, r) for i in range(r, n + 1)),
@@ -449,25 +452,57 @@ class TestRegistry:
                 assert per_class[corr.identity_id], corr
                 assert corr.class_id in CLASS_IDS, corr
 
-    def test_entries_revalidated_over_declared_ranges(self):
-        # each corrected variant must actually pass, checked directly and
-        # at larger sizes than the default engine run where cheap
-        for corr in CORRECTIONS:
-            if corr.class_id is not None:
-                classes = (corr.class_id,)
-            elif corr.identity_id == "eq1":
-                classes = (None,)
+    def test_each_fix_is_needed_and_the_registry_passes(self, monkeypatch):
+        # every corrected unit passes with the registry as given, and stops
+        # passing when any one change id is dropped from any one entry, so a
+        # compound entry's changes are checked one at a time
+        per_class = {f.identity_id: f.per_class for f in verify.FAMILIES}
+        registry = corrections.CORRECTIONS
+        ablated = []
+
+        def status(identity_id, class_id):
+            return check_identity(
+                identity_id, "corrected", n_max=8, m_max=8, class_id=class_id
+            ).status
+
+        for index, corr in enumerate(registry):
+            if not per_class[corr.identity_id]:
+                covered = (None,)
             else:
-                classes = CLASS_IDS
-            for cls in classes:
-                report = check_identity(
-                    corr.identity_id,
-                    "corrected",
-                    n_max=8,
-                    m_max=8,
-                    class_id=cls,
-                )
-                assert report.status == "pass", (corr.identity_id, cls)
+                covered = CLASS_IDS if corr.class_id is None else (corr.class_id,)
+            for cls in covered:
+                assert status(corr.identity_id, cls) == "pass", (corr.identity_id, cls)
+                for fix in corr.fixes:
+                    patched = list(registry)
+                    patched[index] = dataclasses.replace(
+                        corr, fixes=tuple(f for f in corr.fixes if f != fix)
+                    )
+                    with monkeypatch.context() as m:
+                        m.setattr(corrections, "CORRECTIONS", tuple(patched))
+                        assert status(corr.identity_id, cls) != "pass", (cls, fix)
+                    ablated.append((index, cls, fix))
+        assert len(ablated) == 18
+        assert {fix for _, _, fix in ablated} == {f for c in registry for f in c.fixes}
+
+    def test_each_fix_id_is_tested_by_one_formula_branch(self):
+        # outside the registry, each change id is one string constant (the
+        # branch that makes the change), and no string that reads like a
+        # change id of an identity is missing from the registry
+        registered = [fix for corr in corrections.CORRECTIONS for fix in corr.fixes]
+        assert all(corr.fixes for corr in corrections.CORRECTIONS)
+        package = Path(corrections.__file__).parent
+        strings = Counter(
+            node.value
+            for path in sorted(package.glob("*.py"))
+            if path.name != "corrections.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+        for fix in set(registered):
+            assert strings[fix] == 1, fix
+        prefixes = tuple(f"{identity_id}." for identity_id in IDENTITY_IDS)
+        stray = {text for text in strings if text.startswith(prefixes)} - set(registered)
+        assert not stray
 
     def test_b2_joint_counterexample_is_recorded(self):
         entries = [
