@@ -52,7 +52,7 @@ def bijection_domain(name: str) -> tuple[str, ...]:
 def _check_domain(name: str, class_id: str) -> None:
     if class_id not in CLASS_IDS or tiling_bijection(class_id)[0] != name:
         domain = bijection_domain(name)
-        raise DomainError(f"{name} is defined on {domain}; got {class_id!r}")
+        raise DomainError(f"{name} is defined on {domain}; got {shorten(class_id)!r}")
 
 
 def _excluded(name: str, word: str) -> ExcludedTilingError:

@@ -53,8 +53,8 @@ FIB_MAX_N = 100_000
 COUNT_MAX_N = 10_000
 # Time cap for the formula-only genfun and dist commands and for verify
 # --n-max, which grow polynomially in n with no enumeration cap: at n = 200
-# the slowest, dist --stat joint, takes 2-4 s; genfun --method recurrence
-# takes 89 s at 600, and verify --identity hockey-stick 44 s at 1000.
+# dist --stat joint takes about 1 s (50 s for the stated B2 form); genfun
+# --method recurrence 89 s at 600, and verify --identity hockey-stick 44 s at 1000.
 FORMULA_MAX_N = 200
 # argparse's option parsing is quadratic in the number of argv tokens; the
 # longest valid command line (verify with every option) has 16
@@ -310,18 +310,16 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    variant = args.variant if args.source == "formula" else None
     if args.source == "oracle":
         dist = distribution_oracle(args.class_id, args.n, args.stat)
-        variant: Optional[str] = None
     else:
         _check_cap("--n", args.n, FORMULA_MAX_N)
-        pairs = distribution_formula(args.class_id, args.n, args.stat, args.variant)
-        dist = {key: value for key, value in pairs if value}
-        variant = args.variant
+        dist = distribution_formula(args.class_id, args.n, args.stat, variant)
     if args.stat == "joint":
-        rows = [{"fib": k, "inv": j, "count": c} for (k, j), c in sorted(dist.items())]
+        rows = [{"fib": k, "inv": j, "count": c} for (k, j), c in dist.items()]
     else:
-        rows = [{"k": k, "count": c} for k, c in sorted(dist.items())]
+        rows = [{"k": k, "count": c} for k, c in dist.items()]
     payload = {
         "class": args.class_id,
         "n": args.n,

@@ -60,7 +60,7 @@ def make_permutation(values: Iterable[int]) -> Perm:
     seen = [False] * (n + 1)
     for v in perm:
         if not 1 <= v <= n:
-            raise DomainError(f"value {v} outside 1..{n}")
+            raise DomainError(f"value {shorten(str(v))} outside 1..{n}")
         if seen[v]:
             raise DomainError(f"value {v} appears twice")
         seen[v] = True

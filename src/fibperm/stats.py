@@ -7,13 +7,15 @@ the enumeration disagree, the formula takes a ``variant`` (see
 ``corrections``): ``"paper"`` evaluates the form as stated, ``"corrected"``
 the repaired one.  They differ in the statistic's distribution (the stated
 F(k) has no impossible band) and in the B2 joint distribution's binomial.
+``distribution_formula`` returns a dict of the nonzero values in key order,
+the shape ``distribution_oracle`` returns, so the two compare with ``==``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import comb
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .classes import check_class_id, class_spec
 from .corrections import VARIANTS, applied, check_variant
@@ -134,12 +136,8 @@ def fib_distribution_formula(class_id: str, n: int, k: int) -> int:
     8
     """
     check_class_id(class_id)
-    _check_length(n)
-    if k == n:
-        return fib_number(n)
-    if k < 0 or k > n or k >= n - 2:
-        return 0
-    return fib_number(k)
+    stated = fib_distribution_stated(n, k)  # refuses n < 1 first
+    return 0 if n - 2 <= k < n else stated
 
 
 def fib_distribution_stated(n: int, k: int) -> int:
@@ -202,19 +200,18 @@ DistKey = Union[int, tuple[int, int]]
 
 def distribution_formula(
     class_id: str, n: int, stat: str, variant: str = "corrected", inv_margin: int = 0
-) -> Iterator[tuple[DistKey, int]]:
-    """Closed-form distribution as lazy (key, value) pairs, zeros included,
-    keyed like the oracle.  Inversion counts run over 0..C(n,2)+inv_margin
-    and the statistic over 0..n.  The 'paper' variant evaluates the stated
+) -> dict[DistKey, int]:
+    """Closed-form distribution as its nonzero values in key order, keyed
+    like the oracle.  Inversion counts run over 0..C(n,2)+inv_margin and
+    the statistic over 0..n.  The 'paper' variant evaluates the stated
     forms: F(k) with no impossible band for the statistic, and the stated
-    B2 joint binomial.  The inversion form is evaluated as one row, and the
-    joint form one k-row at a time.  An unknown class, statistic, variant or
-    a length n < 1 raises DomainError before any pair is made.
+    B2 joint binomial.  An unknown class, statistic, variant or a length
+    n < 1 raises DomainError.
 
-    >>> dict(distribution_formula("A1", 4, "inv"))
-    {0: 1, 1: 3, 2: 1, 3: 2, 4: 0, 5: 0, 6: 0}
-    >>> [v for _, v in distribution_formula("B1", 1, "fib", "paper")]
-    [1, 1]
+    >>> distribution_formula("A1", 4, "inv")
+    {0: 1, 1: 3, 2: 1, 3: 2}
+    >>> distribution_formula("B1", 1, "fib", "paper")
+    {0: 1, 1: 1}
     """
     check_class_id(class_id)
     check_stat(stat)
@@ -222,16 +219,18 @@ def distribution_formula(
     _check_length(n)
     inv_keys = range(0, comb(n, 2) + inv_margin + 1)
     if stat == "inv":
-        return zip(inv_keys, _inv_row(class_id, n, inv_keys))
-    if stat == "fib" and "fib-dist.impossible-band" not in fixes:
-        return ((k, fib_distribution_stated(n, k)) for k in range(0, n + 1))
-    if stat == "fib":
-        return ((k, fib_distribution_formula(class_id, n, k)) for k in range(0, n + 1))
-    return (
-        ((k, j), count)
-        for k in range(0, n + 1)
-        for j, count in zip(inv_keys, _joint_row(class_id, n, k, inv_keys, fixes))
-    )
+        cells = zip(inv_keys, _inv_row(class_id, n, inv_keys))
+    elif stat == "fib" and "fib-dist.impossible-band" not in fixes:
+        cells = ((k, fib_distribution_stated(n, k)) for k in range(0, n + 1))
+    elif stat == "fib":
+        cells = ((k, fib_distribution_formula(class_id, n, k)) for k in range(0, n + 1))
+    else:
+        cells = (
+            ((k, j), count)
+            for k in range(0, n + 1)
+            for j, count in zip(inv_keys, _joint_row(class_id, n, k, inv_keys, fixes))
+        )
+    return {key: value for key, value in cells if value}
 
 
 def distribution_oracle(class_id: str, n: int, stat: str) -> dict[DistKey, int]:

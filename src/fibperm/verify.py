@@ -5,7 +5,8 @@ range against independently computed ground truth (enumeration, brute-force
 filtering, or a second derivation route).  A family is a lazy stream of
 cases (parameters, truth, formula, note); one engine, ``_run_cases``, reads
 a stream up to its first mismatch and turns it into a report, under one or
-both of the variants that ``corrections`` defines.
+both of the variants that ``corrections`` defines.  One helper names the
+smallest key where two sparse rows (distributions, polynomials) differ.
 
 A verification run is *resolved* when every (identity, class) unit passes
 in at least one evaluated variant and every correction entry that was
@@ -118,6 +119,13 @@ class IdentityReport:
     notes: str
 
 
+def _first_difference(truth: dict, formula: dict):
+    """``(key, lhs, rhs)`` at the smallest key where two sparse rows differ;
+    a key missing from a row reads 0."""
+    key = min(k for k in truth.keys() | formula.keys() if truth.get(k, 0) != formula.get(k, 0))
+    return key, truth.get(key, 0), formula.get(key, 0)
+
+
 def _difference(truth, formula):
     """``(exponent, lhs, rhs)`` where two unequal sides first differ.
 
@@ -127,13 +135,7 @@ def _difference(truth, formula):
     element of each side that the other lacks, None if it lacks none.
     """
     if isinstance(truth, Poly):
-        exponents = sorted(
-            {e for e, _ in truth.terms()} | {e for e, _ in formula.terms()}
-        )
-        for e in exponents:
-            lhs, rhs = truth.coefficient(*e), formula.coefficient(*e)
-            if lhs != rhs:
-                return e, lhs, rhs
+        return _first_difference(dict(truth.terms()), dict(formula.terms()))
     if isinstance(truth, list):
         return next((None, a, b) for a, b in itertools.zip_longest(truth, formula) if a != b)
     if isinstance(truth, set):
@@ -159,6 +161,13 @@ def _run_cases(cases: Iterator[Case]) -> tuple[str, Optional[dict], str]:
         # a refusal by the library under test is its failure, not bad input
         return "fail", None, f"{type(exc).__name__}: {exc}"
     return "pass", None, ""
+
+
+def _check_bounds(n_max: int, m_max: Optional[int]) -> None:
+    """Refuse a bound under 1: ranges such as 1 <= n <= 0 check nothing."""
+    for name, bound in (("n_max", n_max), ("m_max", 1 if m_max is None else m_max)):
+        if bound < 1:
+            raise DomainError(f"{name} must be >= 1; got {shorten(str(bound))}")
 
 
 def _bounds(identity_id, class_id, variant, n_max, m_max) -> SimpleNamespace:
@@ -282,26 +291,15 @@ def _bijection_cases(class_id, variant, b) -> Iterator[Case]:
 
 def _dist_cases(stat: str, note: str, class_id, variant, b) -> Iterator[Case]:
     # one stream for inv-dist, fib-dist and joint-dist: the closed form's
-    # row at each n against the enumerated tabulation.  The oracle holds no
-    # zeros and its keys lie in the formula's key range, so the row agrees
-    # at every key when its nonzero values equal the oracle; only a row that
-    # differs is walked key by key, to its first differing key.
+    # row at each n against the enumerated tabulation, both nonzero dicts;
+    # a row that differs yields one case, at its smallest differing key.
     for n in range(1, b.n_gen + 1):
         oracle = distribution_oracle(class_id, n, stat)
-        pairs = list(
-            distribution_formula(class_id, n, stat, variant, inv_margin=_INV_MARGIN)
-        )
-        if {key: value for key, value in pairs if value} == oracle:
-            continue
-        for key, value in pairs:
-            truth = oracle.get(key, 0)
-            if truth != value:
-                if isinstance(key, tuple):
-                    parameters = {"n": n, "k": key[0], "j": key[1]}
-                else:
-                    parameters = {"n": n, "k": key}
-                yield parameters, truth, value, note
-                break
+        row = distribution_formula(class_id, n, stat, variant, inv_margin=_INV_MARGIN)
+        if row != oracle:
+            key, truth, value = _first_difference(oracle, row)
+            cell = {"k": key[0], "j": key[1]} if stat == "joint" else {"k": key}
+            yield {"n": n, **cell}, truth, value, note
 
 
 def _gf_closed_cases(class_id, variant, b) -> Iterator[Case]:
@@ -553,6 +551,7 @@ def check_identity(
         check_class_id(class_id)
     elif class_id is not None:
         raise DomainError(f"identity {identity_id!r} is global; class_id must be None")
+    _check_bounds(n_max, m_max)
     bounds = _bounds(identity_id, class_id, variant, n_max, m_max)
     status, mismatch, note = _run_cases(family.cases(class_id, variant, bounds))
     return IdentityReport(
@@ -623,8 +622,11 @@ def run_verification(
     """Evaluate the named identities (all 13 when None) over both variants,
     in at most ``jobs`` worker processes (never more than units or CPUs).
     Reports come out in ``FAMILIES`` order, each identity once."""
+    if identity_ids is not None and not identity_ids:
+        raise DomainError("no identity to check; pass None for all of them")
     for identity_id in identity_ids or ():
         _family(identity_id)
+    _check_bounds(n_max, m_max)
     families = [f for f in FAMILIES if identity_ids is None or f.identity_id in identity_ids]
     requested = set(variants)
     for variant in requested:

@@ -442,6 +442,9 @@ _MESSAGES = {
     "forward-map-with-tiling": (["map", "--bijection", "rho", "--class", "B1",
                                  "--perm", "1", "--tiling", "d"], 2,
                                 "error: forward mapping needs --perm (and no --tiling)\n"),
+    "perm-value-4000-digits": (["map", "--bijection", "phi", "--class", "A1",
+                                "--perm", "1 " + "9" * 4000], 4,
+                               "error: value 99999999999999999999... outside 1..2\n"),
     "report-in-missing-dir": (["verify", "--identity", "eq1", "--n-max", "3",
                                "--report", "no-such-dir/r.md"], 4,
                               "error: cannot write report no-such-dir/r.md: "
@@ -461,8 +464,8 @@ def test_message_shows_value_shortened(name, tmp_path, monkeypatch, capsys):
 
 
 def test_formula_cap_admits_its_edge(capsys):
-    # the cheapest formula-only command at the cap; the costliest, dist
-    # --stat joint, takes a few seconds there
+    # the cheapest formula-only command at the cap; dist --stat joint takes
+    # about a second there, and about 50 s for the stated B2 form
     assert main(["genfun", "--class", "A1", "--n", str(FORMULA_MAX_N),
                  "--method", "closed", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == FORMULA_MAX_N
@@ -582,6 +585,12 @@ def test_unknown_names_are_quoted_short():
         with pytest.raises(DomainError) as refused:
             check("x" * 100_000)
         assert len(str(refused.value)) < 300, str(refused.value)[:40]
+    # a bijection's domain check quotes the class it refuses the same way
+    with pytest.raises(DomainError, match=r"^phi is defined on \('A1', 'A2'\); got 'C1'$"):
+        phi("C1", (1,))
+    with pytest.raises(DomainError) as refused:
+        phi("x" * 5000, (1,))
+    assert len(str(refused.value)) < 300, str(refused.value)[:40]
 
 
 def test_long_choice_list_leaves_a_usage_error(capsys):
@@ -723,7 +732,7 @@ def _choice(*good: str):
 _LENGTHS = _ints(14, -1, GENERATE_MAX_N + 1, FORMULA_MAX_N + 1)
 _PERMS = (
     permutations_up_to(8).map(format_permutation),
-    st.sampled_from(["1 a 2", "0 1", "1 1", "4321", "1 " + "9" * 5000, " "]),
+    st.sampled_from(["1 a 2", "0 1", "1 1", "4321", "1 " + "9" * 4000, "1 " + "9" * 5000, " "]),
 )
 _TILINGS = (st.text(alphabet="md", max_size=40), st.text(alphabet="mdx ", max_size=40))
 

@@ -22,6 +22,15 @@ from fibperm.stats import (
 from helpers import naive_fib_stat, naive_inversions
 
 
+def assert_nonzero_row(row, keys, cell):
+    """*row* holds the nonzero values of *cell* over *keys*, in key order:
+    every cell it lacks evaluates to 0 through the one-cell formula."""
+    assert list(row) == [key for key in keys if key in row]
+    assert 0 not in row.values()
+    for key in keys:
+        assert row.get(key, 0) == cell(key), key
+
+
 class TestBinomial:
     def test_out_of_range_is_zero(self):
         assert binomial(-1, 0) == 0
@@ -113,10 +122,11 @@ class TestInvDistribution:
         for cls in B_CLASSES:
             exponent = class_spec(cls).tail_q_exponent
             for n in range(1, 41):
-                row = dict(distribution_formula(cls, n, "inv", inv_margin=2))
-                assert list(row) == list(range(comb(n, 2) + 3))
-                for k, value in row.items():
-                    assert value == sum(
+                row = distribution_formula(cls, n, "inv", inv_margin=2)
+                keys = range(comb(n, 2) + 3)
+                assert_nonzero_row(row, keys, lambda k: inv_distribution_formula(cls, n, k))
+                for k in keys:
+                    assert row.get(k, 0) == sum(
                         binomial(n - h - (k - exponent(h)), k - exponent(h))
                         for h in range(1, n + 1)
                     ), (cls, n, k)
@@ -200,20 +210,25 @@ class TestJointDistribution:
 
 class TestDistributionFormula:
     def test_domain_and_margin(self):
-        keys = [k for k, _ in distribution_formula("A1", 5, "inv")]
-        assert keys == list(range(comb(5, 2) + 1))
-        keys = [k for k, _ in distribution_formula("A1", 5, "inv", inv_margin=2)]
-        assert keys == list(range(comb(5, 2) + 3))
-        assert [k for k, _ in distribution_formula("B1", 4, "fib")] == [0, 1, 2, 3, 4]
+        for margin in (0, 2):
+            assert_nonzero_row(
+                distribution_formula("A1", 5, "inv", inv_margin=margin),
+                range(comb(5, 2) + margin + 1),
+                lambda k: inv_distribution_formula("A1", 5, k),
+            )
+        assert_nonzero_row(
+            distribution_formula("B1", 4, "fib"), range(5),
+            lambda k: fib_distribution_formula("B1", 4, k),
+        )
 
     def test_variant_dispatch(self):
         for cls in CLASS_IDS:
             for n in range(1, 8):
-                corrected = dict(distribution_formula(cls, n, "fib", "corrected"))
-                paper = dict(distribution_formula(cls, n, "fib", "paper"))
+                corrected = distribution_formula(cls, n, "fib", "corrected")
+                paper = distribution_formula(cls, n, "fib", "paper")
                 assert corrected == {k: fib_distribution_formula(cls, n, k) for k in corrected}
                 assert paper == {k: fib_distribution_stated(n, k) for k in paper}
-                joint = dict(distribution_formula(cls, n, "joint", "paper"))
+                joint = distribution_formula(cls, n, "joint", "paper")
                 assert joint == {
                     (k, j): joint_distribution_formula(cls, n, k, j, "paper")
                     for k, j in joint
@@ -223,14 +238,11 @@ class TestDistributionFormula:
         for cls in CLASS_IDS:
             for variant in VARIANTS:
                 for n in range(1, 13):
-                    joint = dict(distribution_formula(cls, n, "joint", variant, inv_margin=2))
-                    assert list(joint) == [
-                        (k, j) for k in range(n + 1) for j in range(comb(n, 2) + 3)
-                    ]
-                    for (k, j), value in joint.items():
-                        assert value == joint_distribution_formula(cls, n, k, j, variant), (
-                            cls, variant, n, k, j
-                        )
+                    assert_nonzero_row(
+                        distribution_formula(cls, n, "joint", variant, inv_margin=2),
+                        [(k, j) for k in range(n + 1) for j in range(comb(n, 2) + 3)],
+                        lambda key: joint_distribution_formula(cls, n, *key, variant),
+                    )
 
     def test_short_lengths_refused(self):
         for n in (-1, 0):
@@ -239,7 +251,7 @@ class TestDistributionFormula:
                     with pytest.raises(
                         DomainError, match=f"the closed forms need n >= 1; got {n}$"
                     ):
-                        list(distribution_formula("A1", n, stat, variant))
+                        distribution_formula("A1", n, stat, variant)
 
     def test_unknown_class_refused_at_the_call(self):
         # the stated fib form takes no class, so nothing downstream checks it
@@ -250,15 +262,13 @@ class TestDistributionFormula:
 
     def test_stated_b2_joint_form_reaches_past_c_n_2(self):
         # why the CLI cut at C(n,2) and the verify margin stay separate
-        beyond = [
-            (n, key)
-            for n in range(1, 7)
-            for key, value in distribution_formula("B2", n, "joint", "paper", 2)
-            if value and key[1] > comb(n, 2)
-        ]
+        beyond = []
+        for n in range(1, 7):
+            row = distribution_formula("B2", n, "joint", "paper", 2)
+            assert_nonzero_row(
+                row,
+                [(k, j) for k in range(n + 1) for j in range(comb(n, 2) + 3)],
+                lambda key: joint_distribution_formula("B2", n, *key, "paper"),
+            )
+            beyond += [(n, key) for key in row if key[1] > comb(n, 2)]
         assert (3, (0, 4)) in beyond
-
-    def test_is_lazy(self):
-        pairs = distribution_formula("A1", 30, "joint")
-        assert iter(pairs) is pairs
-        assert next(pairs) == ((0, 0), 0)

@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import dataclasses
 import json
+import re
 import time
 from collections import Counter
 from math import comb
@@ -14,7 +15,7 @@ from fibperm.classes import CLASS_IDS, CLASS_SPECS
 from fibperm.cli import main
 from fibperm.errors import DomainError, NotInClassError
 from fibperm.fib import fib_stat
-from fibperm.stats import binomial, inv_distribution_formula
+from fibperm.stats import binomial, inv_distribution_formula, joint_distribution_formula
 from fibperm.verify import (
     CORRECTIONS,
     IDENTITY_IDS,
@@ -199,11 +200,18 @@ class TestDifference:
 
 
 class TestDistRows:
-    # The *-dist families compare each length's row whole and walk only a
-    # row that differs.  One closed-form value of A1 at n = 5 is moved by
-    # one, at a key where it is nonzero, where it is zero inside
-    # 0..C(5, 2), or on the margin past C(5, 2).
+    # The *-dist families compare each length's row whole and name the
+    # smallest key where the two rows differ.  One closed-form value of A1
+    # at n = 5 is moved by one, at a key where it is nonzero, where it is
+    # zero inside 0..C(5, 2), or on the margin past C(5, 2).
     N_MAX, N = 7, 5
+
+    def keys(self, n, stat):
+        """Every key of the closed form's range at length n, in order."""
+        inv_keys = range(comb(n, 2) + verify._INV_MARGIN + 1)
+        if stat == "inv":
+            return list(inv_keys)
+        return [(k, j) for k in range(n + 1) for j in inv_keys]
 
     def target(self, stat, place):
         row = verify.distribution_formula(
@@ -211,9 +219,13 @@ class TestDistRows:
         )
         top = comb(self.N, 2)
         keys = {"nonzero": [], "zero": [], "margin": []}
-        for key, value in row:
+        for key in self.keys(self.N, stat):
+            # a key the row lacks evaluates to 0 through the one-cell formula
+            cell = (inv_distribution_formula("A1", self.N, key) if stat == "inv"
+                    else joint_distribution_formula("A1", self.N, *key))
+            assert row.get(key, 0) == cell, key
             j = key if stat == "inv" else key[1]
-            keys["margin" if j > top else "zero" if value == 0 else "nonzero"].append(key)
+            keys["margin" if j > top else "nonzero" if key in row else "zero"].append(key)
         return keys[place][-1]
 
     def key_walk(self, formula, stat):
@@ -221,12 +233,14 @@ class TestDistRows:
         mismatch, and the mismatch it reports there."""
         for n in range(1, self.N_MAX + 1):
             oracle = verify.distribution_oracle("A1", n, stat)
-            for key, value in formula("A1", n, stat, "corrected", verify._INV_MARGIN):
-                if oracle.get(key, 0) != value:
+            row = formula("A1", n, stat, "corrected", verify._INV_MARGIN)
+            for key in self.keys(n, stat):
+                if oracle.get(key, 0) != row.get(key, 0):
                     k, j = (key, None) if stat == "inv" else key
                     parameters = {"n": n, "k": k} if j is None else {"n": n, "k": k, "j": j}
                     return (n, key), {
-                        "parameters": parameters, "lhs": oracle.get(key, 0), "rhs": value,
+                        "parameters": parameters, "lhs": oracle.get(key, 0),
+                        "rhs": row.get(key, 0),
                     }
         return None, None
 
@@ -237,8 +251,10 @@ class TestDistRows:
         target = (self.N, self.target(stat, place))
 
         def patched(class_id, n, stat, variant, inv_margin):
-            for key, value in formula(class_id, n, stat, variant, inv_margin):
-                yield key, value + 1 if (n, key) == target else value
+            row = formula(class_id, n, stat, variant, inv_margin)
+            if n == target[0]:
+                row[target[1]] = row.get(target[1], 0) + 1
+            return dict(sorted(row.items()))
 
         monkeypatch.setattr(verify, "distribution_formula", patched)
         found, expected = self.key_walk(patched, stat)
@@ -246,6 +262,23 @@ class TestDistRows:
         report = check_identity(f"{stat}-dist", "corrected", class_id="A1", n_max=self.N_MAX)
         assert report.status == "fail"
         assert report.first_mismatch == expected
+
+    @pytest.mark.parametrize("stat", ["inv", "joint"])
+    def test_an_oracle_key_past_the_formula_range_fails(self, stat, monkeypatch):
+        # the enumerated row has mass where the closed form has no key at all
+        oracle = verify.distribution_oracle
+        past = comb(self.N, 2) + verify._INV_MARGIN + 1
+        key = past if stat == "inv" else (self.N, past)
+
+        def patched(class_id, n, stat):
+            row = oracle(class_id, n, stat)
+            return {**row, key: 1} if n == self.N else row
+
+        monkeypatch.setattr(verify, "distribution_oracle", patched)
+        report = check_identity(f"{stat}-dist", "corrected", class_id="A1", n_max=self.N_MAX)
+        cell = {"k": key} if stat == "inv" else {"k": key[0], "j": key[1]}
+        assert report.status == "fail"
+        assert report.first_mismatch == {"parameters": {"n": self.N, **cell}, "lhs": 1, "rhs": 0}
 
 
 class TestStructureOracle:
@@ -439,6 +472,29 @@ class TestFullRun:
         assert not result.resolved
         expected = set(EXPECTED_PAPER_FAILURES) | NOT_EVALUABLE_PAPER_UNITS
         assert set(result.unresolved_units()) == expected
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_max": 0}, "n_max must be >= 1; got 0"),
+            ({"n_max": -10**30}, "n_max must be >= 1; got -1000000000000000000..."),
+            ({"m_max": 0}, "m_max must be >= 1; got 0"),
+            ({"identity_ids": []}, "no identity to check; pass None for all of them"),
+        ],
+    )
+    def test_inputs_that_check_nothing_are_refused(self, monkeypatch, kwargs, message):
+        # refused before a pool starts: ranges such as 1 <= n <= 0, or no
+        # unit at all, would check nothing and report resolved
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        pattern = "^" + re.escape(message) + "$"
+        with pytest.raises(DomainError, match=pattern):
+            run_verification(**kwargs, jobs=2)
+        if "identity_ids" not in kwargs:
+            with pytest.raises(DomainError, match=pattern):
+                check_identity("eq1", "corrected", **kwargs)
 
 
 class TestRegistry:
