@@ -136,8 +136,12 @@ def fib_distribution_formula(class_id: str, n: int, k: int) -> int:
     8
     """
     check_class_id(class_id)
-    stated = fib_distribution_stated(n, k)  # refuses n < 1 first
-    return 0 if n - 2 <= k < n else stated
+    _check_length(n)
+    if k == n:
+        return fib_number(n)
+    if k < 0 or k > n or k >= n - 2:
+        return 0
+    return fib_number(k)
 
 
 def fib_distribution_stated(n: int, k: int) -> int:

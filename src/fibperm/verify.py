@@ -164,7 +164,7 @@ def _run_cases(cases: Iterator[Case]) -> tuple[str, Optional[dict], str]:
 
 
 def _check_bounds(n_max: int, m_max: Optional[int]) -> None:
-    """Refuse a bound under 1: ranges such as 1 <= n <= 0 check nothing."""
+    """Refuse a bound under 1, as the CLI's ``_positive_int`` does."""
     for name, bound in (("n_max", n_max), ("m_max", 1 if m_max is None else m_max)):
         if bound < 1:
             raise DomainError(f"{name} must be >= 1; got {shorten(str(bound))}")

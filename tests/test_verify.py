@@ -482,9 +482,9 @@ class TestFullRun:
             ({"identity_ids": []}, "no identity to check; pass None for all of them"),
         ],
     )
-    def test_inputs_that_check_nothing_are_refused(self, monkeypatch, kwargs, message):
-        # refused before a pool starts: ranges such as 1 <= n <= 0, or no
-        # unit at all, would check nothing and report resolved
+    def test_empty_lists_and_bounds_below_1_are_refused(self, monkeypatch, kwargs, message):
+        # refused before a pool starts: no unit at all, or enumerated ranges
+        # such as 1 <= n <= 0, would report resolved; m_max < 1 as in the CLI
         def no_pool(max_workers):
             raise AssertionError("a pool was started")
 
