@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -241,6 +242,36 @@ class TestAddition:
         stated_b2 = genfun_addition("B2", 2, 2, "paper")
         assert stated_b2.coefficient(0, 3) == 0
         assert truth["B2"].coefficient(0, 3) == 1
+
+    def test_stated_forms_at_every_small_split(self):
+        # each class's stated form, written out with its head exponents as
+        # literals (q^3 for A1, q^2 for A2, q^C(l, 2) for B1, q^(l-1) for
+        # B2), so a rewrite cannot move a stated form past the first
+        # mismatch that a verify report shows
+        def q(exp):
+            return Poly.monomial(1, 0, exp)
+
+        def v(exp):
+            return Poly.monomial(1, exp, 0)
+
+        def stated(cls, m, n):
+            g_m, g_m1, g_n = (genfun_oracle(cls, k) for k in (m, m - 1, n))
+            f = fib_poly
+            total = v(n) * g_m * f(n) + Q * v(n + 2) * g_m1 * f(n - 1)
+            rest = g_n - v(n) * f(n)
+            if cls in ("A1", "A2"):
+                core = 3 if cls == "A1" else 2
+                return total + q(core) * (v(n - 1) * f(n - 1) + v(n - 2) * f(n - 2)) + rest
+            if cls == "B1":
+                for i in range(n + 1):
+                    total = total + v(comb(m, 2) + i) * f(i) * q(comb(i, 2) + i * m)
+                return total
+            return total + q((m + 1) - 1) * (v(n - 1) * f(n - 1) + rest)
+
+        for cls in CLASS_IDS:
+            for m in range(2, 9):
+                for n in range(2, 9):
+                    assert genfun_addition(cls, m, n, "paper") == stated(cls, m, n), (cls, m, n)
 
     def test_domain(self):
         with pytest.raises(DomainError, match=r"^the addition formulas need m, n >= 2; got \(1, 2\)$"):
