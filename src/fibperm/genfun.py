@@ -286,46 +286,39 @@ def genfun_addition(
     """G_{m+n} assembled from shorter data, per the length-splitting
     formulas (defined for m, n >= 2).  Building blocks G_m, G_{m-1}, G_n
     come from the enumeration oracle so that only the formula's shape is
-    under test.
+    under test.  With e the tail q-exponent, A1, A2 and B2 share one form:
+
+        v^n G_m F_n + q v^(n+1) G_{m-1} F_{n-1} + q^e(m+1) v^(n-1) F_{n-1}
+          + q^e(m+2) v^(n-2) F_{n-2} + q^(e(m+n)-e(n)) (G_n - v^n F_n)
+
+    A head of length m + l crossing the cut takes e(m+l) - e(l) inversions
+    from its first m entries: 0 for A1 and A2 and m for B2, whatever l is.
+    For B1 that shift, C(m, 2) + ml, grows with l, so B1 sums its crossing
+    heads one length at a time; its stated form is its own.  The stated
+    forms take v^(n+2) in the straddling term.
 
     >>> genfun_addition("A1", 2, 2) == genfun_oracle("A1", 4)
     True
     """
     spec = class_spec(class_id)
+    e = spec.tail_q_exponent
     fixes = applied(variant, "gf-addition", class_id)
     if m < 2 or n < 2:
         raise DomainError(f"the addition formulas need m, n >= 2; got ({m}, {n})")
-    g_m = genfun_oracle(class_id, m)
-    g_m1 = genfun_oracle(class_id, m - 1)
-    g_n = genfun_oracle(class_id, n)
-    f_n = fib_poly(n)
-    f_n1 = fib_poly(n - 1)
-    f_n2 = fib_poly(n - 2)
-    main = _vpow(n) * g_m * f_n
     straddle_v = n + 2 if "gf-addition.straddle" not in fixes else n + 1
-    straddle = Q * _vpow(straddle_v) * g_m1 * f_n1
-    if spec.kind == "A":
-        q_exp = spec.tail_q_exponent(n)  # the core's inversions, whatever n
-        return (
-            main
-            + straddle
-            + _qpow(q_exp) * _vpow(n - 1) * f_n1
-            + _qpow(q_exp) * _vpow(n - 2) * f_n2
-            + g_n
-            - _vpow(n) * f_n
-        )
+    total = _vpow(n) * genfun_oracle(class_id, m) * fib_poly(n)
+    total = total + Q * _vpow(straddle_v) * genfun_oracle(class_id, m - 1) * fib_poly(n - 1)
     if class_id == "B1":
         if "gf-addition.b1-pre-part" not in fixes:
             tail = ZERO
             for i in range(n + 1):
                 tail = tail + _vpow(i) * fib_poly(i) * _qpow(comb(i, 2) + i * m)
-            return main + straddle + _vpow(comb(m, 2)) * tail
-        tail = ZERO
+            return total + _vpow(comb(m, 2)) * tail
         for i in range(n):
-            tail = tail + _qpow(comb(m + n - i, 2)) * _vpow(i) * fib_poly(i)
-        return main + straddle + tail
-    low = _qpow(m) * _vpow(n - 1) * f_n1
-    rest = _qpow(m) * (g_n - _vpow(n) * f_n)
-    if "gf-addition.b2-missing-term" not in fixes:
-        return main + straddle + low + rest
-    return main + straddle + low + _qpow(m + 1) * _vpow(n - 2) * f_n2 + rest
+            total = total + _qpow(e(m + n - i)) * _vpow(i) * fib_poly(i)
+        return total
+    total = total + _qpow(e(m + 1)) * _vpow(n - 1) * fib_poly(n - 1)
+    if spec.kind == "A" or "gf-addition.b2-missing-term" in fixes:  # stated B2 lacks it
+        total = total + _qpow(e(m + 2)) * _vpow(n - 2) * fib_poly(n - 2)
+    rest = genfun_oracle(class_id, n) - _vpow(n) * fib_poly(n)
+    return total + _qpow(e(m + n) - e(n)) * rest
