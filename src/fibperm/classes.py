@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
-from .errors import DomainError, NotInClassError, SizeLimitError, shorten
+from .errors import DomainError, NotInClassError, SizeLimitError, check_choice, shorten
 from .fib import extend_fibonacci, fib_number, fib_stat, is_fibonacci
 from .perms import Perm, PatternSet, direct_sum, make_pattern_set, make_permutation
 
@@ -116,9 +116,7 @@ def check_class_id(class_id: str) -> str:
     >>> check_class_id("B2")
     'B2'
     """
-    if class_id not in CLASS_SPECS:
-        raise DomainError(f"unknown class {shorten(class_id)!r}; expected one of {CLASS_IDS}")
-    return class_id
+    return check_choice("class", class_id, CLASS_IDS)
 
 
 def class_spec(class_id: str) -> ClassSpec:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classes import CLASS_SPECS
-from .errors import DomainError, shorten
+from .errors import check_choice
 
 VARIANTS = ("paper", "corrected")
 
@@ -26,9 +26,7 @@ def check_variant(variant: str) -> str:
     >>> check_variant("corrected")
     'corrected'
     """
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {shorten(variant)!r}; expected one of {VARIANTS}")
-    return variant
+    return check_choice("variant", variant, VARIANTS)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "NotInClassError",
     "ExcludedTilingError",
     "shorten",
+    "check_choice",
 ]
 
 
@@ -36,6 +37,14 @@ def shorten(text: str, limit: int = 20) -> str:
     it is longer: how an error message quotes a value the user gave, so
     the message stays short at any input length."""
     return text[:limit] + ("..." if len(text) > limit else "")
+
+
+def check_choice(kind: str, value: str, choices: tuple[str, ...]) -> str:
+    """Return *value* if it is one of *choices*, else raise DomainError
+    naming the *kind* of choice, the value quoted short, and the choices."""
+    if value not in choices:
+        raise DomainError(f"unknown {kind} {shorten(value)!r}; expected one of {choices}")
+    return value
 
 
 class FibpermError(Exception):

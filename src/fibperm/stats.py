@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 from .classes import check_class_id, class_spec
 from .corrections import VARIANTS, applied, check_variant
-from .errors import DomainError, shorten
+from .errors import DomainError, check_choice
 from .fib import fib_number
 from .genfun import genfun_oracle
 
@@ -62,9 +62,7 @@ def check_stat(stat: str) -> str:
     >>> check_stat("inv")
     'inv'
     """
-    if stat not in STATS:
-        raise DomainError(f"unknown statistic {shorten(stat)!r}; expected one of {STATS}")
-    return stat
+    return check_choice("statistic", stat, STATS)
 
 
 def _check_length(n: int) -> None:

@@ -47,6 +47,7 @@ from .errors import (
     ExcludedTilingError,
     NotEvaluableError,
     NotInClassError,
+    check_choice,
     shorten,
 )
 from .fib import fib_number, fib_permutations, tilings
@@ -514,12 +515,7 @@ _FAMILY_BY_ID = {f.identity_id: f for f in FAMILIES}
 
 
 def _family(identity_id: str) -> IdentityFamily:
-    family = _FAMILY_BY_ID.get(identity_id)
-    if family is None:
-        raise DomainError(
-            f"unknown identity {shorten(identity_id)!r}; expected one of {IDENTITY_IDS}"
-        )
-    return family
+    return _FAMILY_BY_ID[check_choice("identity", identity_id, IDENTITY_IDS)]
 
 
 def _unit_label(identity_id: str, class_id: Optional[str], form: str = "/{}") -> str:
