@@ -161,6 +161,8 @@ class TestFibDistribution:
             assert fib_distribution_stated(n, n) == fib_distribution_formula(
                 "A1", n, n
             ) == fib_number(n)
+            # and is 0 outside 0 <= k <= n
+            assert fib_distribution_stated(n, -1) == fib_distribution_stated(n, n + 1) == 0
 
 
 class TestJointDistribution:

@@ -358,6 +358,20 @@ class TestStructureOracle:
         assert report.notes == "decompose/compose round-trip failed on (1, 4, 3, 2)"
 
 
+class TestBijectionImage:
+    def test_catches_the_excluded_word_decoding(self, monkeypatch):
+        real = bijections.phi_inverse
+
+        def leaky(class_id, word):
+            return (1,) if word == "d" else real(class_id, word)
+
+        monkeypatch.setattr(bijections, "phi_inverse", leaky)
+        report = check_identity("bijection-image", "corrected", class_id="A1", n_max=3)
+        assert report.status == "fail"
+        assert report.first_mismatch == {"parameters": {"n": 1}, "lhs": 0, "rhs": 1}
+        assert report.notes == "excluded word 'd' unexpectedly decoded"
+
+
 class TestLibraryRefusal:
     def test_is_a_failing_unit_not_bad_input(self, monkeypatch, capsys):
         # phi parses each member with decompose; a refusal there is a fault
