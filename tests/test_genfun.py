@@ -246,8 +246,8 @@ class TestAddition:
     def test_stated_forms_at_every_small_split(self):
         # each class's stated form, written out with its head exponents as
         # literals (q^3 for A1, q^2 for A2, q^C(l, 2) for B1, q^(l-1) for
-        # B2), so a rewrite cannot move a stated form past the first
-        # mismatch that a verify report shows
+        # B2); a verify report stops at its first mismatch, so only this
+        # pins the stated forms past (m, n) = (2, 2)
         def q(exp):
             return Poly.monomial(1, 0, exp)
 
