@@ -266,6 +266,43 @@ class TestDistributionFormula:
                 with pytest.raises(DomainError, match="unknown class 'Z9'"):
                     distribution_formula("Z9", 3, stat, variant)
 
+    def test_rows_follow_their_binomials(self):
+        # every cell of every row against its closed form written out here,
+        # so a support bound that drops a nonzero cell fails even where no
+        # oracle reaches: e is the head's exponent for a head of length l
+        head_exponent = {
+            "A1": lambda l: 3, "A2": lambda l: 2,
+            "B1": lambda l: comb(l, 2), "B2": lambda l: l - 1,
+        }
+        for cls in CLASS_IDS:
+            e_of = head_exponent[cls]
+            for n in range(1, 31):
+                keys = range(comb(n, 2) + 3)
+                if cls in ("A1", "A2"):
+                    e = e_of(n)
+                    inv = distribution_formula(cls, n, "inv", inv_margin=2)
+                    for k in keys:
+                        want = binomial(n - k, k)
+                        if k >= e:
+                            want += binomial(n - k + e - 2, k - e + 1)
+                        assert inv.get(k, 0) == want, (cls, n, k)
+                for variant in VARIANTS:
+                    joint = distribution_formula(cls, n, "joint", variant, inv_margin=2)
+                    assert set(joint) <= {(k, j) for k in range(n + 1) for j in keys}
+                    assert 0 not in joint.values()
+                    for k in range(n + 1):
+                        for j in keys:
+                            if k == n:
+                                want = binomial(n - j, j)
+                            elif k >= n - 2:
+                                want = 0
+                            elif cls == "B2" and variant == "paper":
+                                want = binomial(2 * k + j + 1 - n, j + k + 1 - n)
+                            else:
+                                e = e_of(n - k)
+                                want = binomial(k - j + e, j - e)
+                            assert joint.get((k, j), 0) == want, (cls, variant, n, k, j)
+
     def test_stated_b2_joint_form_reaches_past_c_n_2(self):
         # why the CLI cut at C(n,2) and the verify margin stay separate
         beyond = []
