@@ -15,15 +15,18 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb
-from typing import Sequence, Union
+from typing import Callable, Union
 
 from .classes import check_class_id, class_spec
 from .corrections import VARIANTS, applied, check_variant
-from .errors import DomainError, check_choice
+from .errors import DomainError, SizeLimitError, check_choice
 from .fib import fib_number
 from .genfun import genfun_oracle
 
 STATS = ("inv", "fib", "joint")
+# the most cells a closed-form joint distribution may hold, counted before
+# any is evaluated: the stated B2 form is nonzero on about n**3 / 2 of them
+_MAX_CELLS = 500_000
 
 __all__ = [
     "STATS",
@@ -98,27 +101,30 @@ def inv_distribution_formula(class_id: str, n: int, k: int) -> int:
     >>> inv_distribution_formula("B2", 5, 3)
     2
     """
-    return _inv_row(class_id, n, (k,))[0]
+    return _inv_row(class_id, n, k, k).get(k, 0)
 
 
-def _inv_row(class_id: str, n: int, ks: Sequence[int]) -> list[int]:
-    # The inversion closed form for each k in ks, validated once.  A B-type
-    # sum is taken term by term: head(h) with d dominoes in its tail adds
-    # C(n-h-d, d) at k = e(h) + d, which can be at most C(n, 2).
+def _inv_row(class_id: str, n: int, lo: int, hi: int) -> dict[int, int]:
+    # The nonzero values of the inversion closed form for k in lo..hi, in key
+    # order, validated once; each binomial runs over its own support.  A B-type
+    # head(h) with d tail dominoes adds C(n-h-d, d) at k = e(h) + d; e(h) never
+    # decreases in h, so the heads stop at the first exponent past hi.
     spec = class_spec(class_id)
     _check_length(n)
     if spec.kind == "A":
         e = spec.tail_q_exponent(n)  # the core's inversions, whatever n
-        return [
-            fib_inv_count(n, k) + (binomial(n - k + e - 2, k - e + 1) if k >= e else 0)
-            for k in ks
-        ]
-    row = [0] * (comb(n, 2) + 1)
+        cells = {k: fib_inv_count(n, k) for k in range(max(lo, 0), min(hi, n // 2) + 1)}
+        for k in range(max(lo, e), min(hi, (n - 3) // 2 + e) + 1):
+            cells[k] = cells.get(k, 0) + binomial(n - k + e - 2, k - e + 1)
+        return cells
+    row: Counter[int] = Counter()
     for h in range(1, n + 1):
         e, rest = spec.tail_q_exponent(h), n - h
-        for d in range(rest // 2 + 1):
+        if e > hi:
+            break
+        for d in range(max(lo - e, 0), min(hi - e, rest // 2) + 1):
             row[e + d] += comb(rest - d, d)
-    return [row[k] if 0 <= k < len(row) else 0 for k in ks]
+    return dict(sorted(row.items()))
 
 
 def fib_distribution_formula(class_id: str, n: int, k: int) -> int:
@@ -176,25 +182,25 @@ def joint_distribution_formula(
     >>> joint_distribution_formula("B2", 5, 2, 3, variant="corrected")
     1
     """
-    (count,) = _joint_row(class_id, n, k, (j,), applied(variant, "joint-dist", class_id))
-    return count if j >= 0 else 0
+    keys, cell = _joint_row(class_id, n, k, j, j, applied(variant, "joint-dist", class_id))
+    return cell(j) if keys else 0
 
 
 def _joint_row(
-    class_id: str, n: int, k: int, js: Sequence[int], fixes: frozenset[str]
-) -> list[int]:
-    # The joint closed form at statistic k for each inversion count j >= 0
-    # in js, validated and with the head's exponent e found once for the row.
+    class_id: str, n: int, k: int, lo: int, hi: int, fixes: frozenset[str]
+) -> tuple[range, Callable[[int], int]]:
+    # The joint closed form at statistic k, validated once: the j in lo..hi where
+    # it is nonzero, and the form in j: the Fibonacci-tail row C(k-d, d), d = j - e,
+    # shifted by the head's exponent e (0 at k = n).  The stated B2 form starts at n-k-1.
     spec = class_spec(class_id)
     _check_length(n)
     if k < 0 or k > n or n - 2 <= k < n:
-        return [0] * len(js)
-    if k == n:
-        return [binomial(k - j, j) for j in js]
-    if class_id == "B2" and "joint-dist.b2-binomial" not in fixes:
-        return [binomial(2 * k + j + 1 - n, j + k + 1 - n) for j in js]
-    e = spec.tail_q_exponent(n - k)
-    return [binomial(k - j + e, j - e) for j in js]
+        return range(0), lambda j: 0
+    if k < n and class_id == "B2" and "joint-dist.b2-binomial" not in fixes:
+        js = range(max(lo, n - k - 1), hi + 1)
+        return js, lambda j: binomial(2 * k + j + 1 - n, j + k + 1 - n)
+    e = spec.tail_q_exponent(n - k) if k < n else 0
+    return range(max(lo, e), min(hi, e + k // 2) + 1), lambda j: fib_inv_count(k, j - e)
 
 
 DistKey = Union[int, tuple[int, int]]
@@ -219,19 +225,19 @@ def distribution_formula(
     check_stat(stat)
     fixes = applied(variant, f"{stat}-dist", class_id)
     _check_length(n)
-    inv_keys = range(0, comb(n, 2) + inv_margin + 1)
+    top = comb(n, 2) + inv_margin
     if stat == "inv":
-        cells = zip(inv_keys, _inv_row(class_id, n, inv_keys))
-    elif stat == "fib" and "fib-dist.impossible-band" not in fixes:
+        return _inv_row(class_id, n, 0, top)
+    if stat == "fib" and "fib-dist.impossible-band" not in fixes:
         cells = ((k, fib_distribution_stated(n, k)) for k in range(0, n + 1))
     elif stat == "fib":
         cells = ((k, fib_distribution_formula(class_id, n, k)) for k in range(0, n + 1))
     else:
-        cells = (
-            ((k, j), count)
-            for k in range(0, n + 1)
-            for j, count in zip(inv_keys, _joint_row(class_id, n, k, inv_keys, fixes))
-        )
+        rows = [_joint_row(class_id, n, k, 0, top, fixes) for k in range(0, n + 1)]
+        size = sum(len(keys) for keys, _ in rows)
+        if size > _MAX_CELLS:
+            raise SizeLimitError(f"closed forms are capped at {_MAX_CELLS} cells; got {size}")
+        return {(k, j): cell(j) for k, (keys, cell) in enumerate(rows) for j in keys}
     return {key: value for key, value in cells if value}
 
 

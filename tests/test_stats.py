@@ -1,10 +1,12 @@
+import time
 from collections import Counter
 from math import comb
 
 import pytest
 
 from fibperm.classes import B_CLASSES, CLASS_IDS, class_spec, count, generate, patterns_of
-from fibperm.errors import DomainError
+from fibperm import stats
+from fibperm.errors import DomainError, SizeLimitError
 from fibperm.fib import fib_number, tiling_to_perm, tilings
 from fibperm.perms import brute_force_av, inversions
 from fibperm.stats import (
@@ -130,6 +132,23 @@ class TestInvDistribution:
                         binomial(n - h - (k - exponent(h)), k - exponent(h))
                         for h in range(1, n + 1)
                     ), (cls, n, k)
+
+    def test_b_one_cell_call_reads_only_its_heads(self):
+        # head(h) carries e(h) inversions, C(h, 2) for B1 and h - 1 for B2,
+        # so k = 3 leaves d = 3 - e(h) dominoes for the n - h tail cells
+        n = 10**5
+        heads = {"B1": ((1, 3), (2, 2), (3, 0)), "B2": ((1, 3), (2, 2), (3, 1), (4, 0))}
+        for cls, pairs in heads.items():
+            start = time.perf_counter()
+            got = inv_distribution_formula(cls, n, 3)
+            assert time.perf_counter() - start < 1, cls
+            assert got == sum(comb(n - h - d, d) for h, d in pairs), cls
+
+    def test_b_head_exponents_never_decrease(self):
+        # why the B-type row may stop at the first head past its top key
+        for cls in B_CLASSES:
+            exponent = class_spec(cls).tail_q_exponent
+            assert all(exponent(h) <= exponent(h + 1) for h in range(1, 2000)), cls
 
 
 class TestFibDistribution:
@@ -302,6 +321,22 @@ class TestDistributionFormula:
                                 e = e_of(n - k)
                                 want = binomial(k - j + e, j - e)
                             assert joint.get((k, j), 0) == want, (cls, variant, n, k, j)
+
+    def test_cell_cap_is_checked_before_any_cell(self, monkeypatch):
+        # the stated B2 joint form is nonzero on (n-2)(n-1)^2/2 + n//2 + 1 cells
+        n = 6
+        size = (n - 2) * (n - 1) ** 2 // 2 + n // 2 + 1
+        monkeypatch.setattr(stats, "_MAX_CELLS", size)
+        assert len(distribution_formula("B2", n, "joint", "paper")) == size
+        monkeypatch.setattr(stats, "_MAX_CELLS", size - 1)
+        monkeypatch.setattr(stats, "binomial", None)  # no cell may be evaluated
+        monkeypatch.setattr(stats, "fib_inv_count", None)
+        with pytest.raises(SizeLimitError, match=f"capped at {size - 1} cells; got {size}$"):
+            distribution_formula("B2", n, "joint", "paper")
+
+    def test_corrected_joint_rows_stay_far_below_the_cap(self):
+        for cls in CLASS_IDS:
+            assert len(distribution_formula(cls, 200, "joint")) == 10_001 < stats._MAX_CELLS
 
     def test_stated_b2_joint_form_reaches_past_c_n_2(self):
         # why the CLI cut at C(n,2) and the verify margin stay separate
