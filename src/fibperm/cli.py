@@ -53,8 +53,10 @@ FIB_MAX_N = 100_000
 COUNT_MAX_N = 10_000
 # Time cap for the formula-only genfun and dist commands and for verify
 # --n-max, which grow polynomially in n with no enumeration cap: at n = 200
-# dist --stat joint takes about 1 s (50 s for the stated B2 form); genfun
-# --method recurrence 89 s at 600, and verify --identity hockey-stick 44 s at 1000.
+# dist --source formula takes at most about 0.1 s (stats refuses a joint
+# distribution of more than 500,000 cells, which the stated B2 form passes
+# from n = 102); genfun --method recurrence 89 s at 600, and verify
+# --identity hockey-stick 44 s at 1000.
 FORMULA_MAX_N = 200
 # argparse's option parsing is quadratic in the number of argv tokens; the
 # longest valid command line (verify with every option) has 16

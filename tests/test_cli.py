@@ -353,6 +353,9 @@ _ERROR_CASES = {
     "dist-formula-past-cap": (
         ["dist", "--class", "A1", "--n", str(FORMULA_MAX_N + 1), "--stat", "joint",
          "--source", "formula"], 3),
+    "dist-formula-past-cell-cap": (
+        ["dist", "--class", "B2", "--n", str(FORMULA_MAX_N), "--stat", "joint",
+         "--source", "formula", "--variant", "paper", "--format", "json"], 3),
     "verify-past-cap": (["verify", "--n-max", str(FORMULA_MAX_N + 1)], 3),
     "fib-4000-digits-past-cap": (["fib", "--n", "9" * 4000], 3),
     "fib-letters": (["fib", "--n", "x" * _N], 2),
@@ -434,6 +437,9 @@ _MESSAGES = {
     "formula-cap": (["dist", "--class", "B2", "--n", "201", "--stat", "inv",
                      "--source", "formula"], 3,
                     "error: --n is capped at 200; got 201\n"),
+    "formula-cell-cap": (["dist", "--class", "B2", "--n", "200", "--stat", "joint",
+                          "--source", "formula", "--variant", "paper"], 3,
+                         "error: closed forms are capped at 500000 cells; got 3920600\n"),
     "oracle-cap": (["genfun", "--class", "B2", "--n", "27"], 3,
                    "error: generation is capped at n = 26; got 27\n"),
     "inverse-map-with-perm": (["map", "--bijection", "rho", "--class", "B1",
@@ -464,11 +470,26 @@ def test_message_shows_value_shortened(name, tmp_path, monkeypatch, capsys):
 
 
 def test_formula_cap_admits_its_edge(capsys):
-    # the cheapest formula-only command at the cap; dist --stat joint takes
-    # about a second there, and about 50 s for the stated B2 form
+    # the cheapest formula-only command at the cap; genfun --method
+    # recurrence takes about a second there
     assert main(["genfun", "--class", "A1", "--n", str(FORMULA_MAX_N),
                  "--method", "closed", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == FORMULA_MAX_N
+
+
+def test_every_dist_formula_at_the_cap_answers_or_is_refused_at_once(capsys):
+    # the stated B2 joint form is the one that passes the closed forms' cell
+    # cap there, and is refused before any cell is evaluated
+    for class_id in CLASS_IDS:
+        for stat in STATS:
+            for variant in VARIANTS:
+                argv = ["dist", "--class", class_id, "--n", str(FORMULA_MAX_N),
+                        "--stat", stat, "--source", "formula", "--variant", variant]
+                refused = (class_id, stat, variant) == ("B2", "joint", "paper")
+                start = time.perf_counter()
+                assert main(argv) == (3 if refused else 0), argv
+                assert time.perf_counter() - start < 1, argv
+                assert bool(capsys.readouterr().out) != refused, argv
 
 
 def test_genfun_recurrence_matches_oracle(capsys):
@@ -712,7 +733,9 @@ def test_layer_trace_binds_every_layer():
 # edges are 0, -1, the cap and the cap plus 1, values of thousands of digits
 # (under and past the interpreter's int() digit limit) and words of the
 # wrong kind.  Every example stays cheap: oracle lengths stop at 14 (apart
-# from the generation cap plus 1), count --n-max at 300 and verify --n-max at
+# from the generation cap plus 1, and for dist the formula cap, where each
+# closed form answers within about 0.1 s or is refused at once by its cell
+# cap), count --n-max at 300 and verify --n-max at
 # 6 (apart from the caps plus 1), --jobs at 2, --m-max at 6 (a larger one is
 # clamped to 24, and gf-addition then takes seconds), and --report paths lie
 # under tmp_path.
@@ -730,6 +753,7 @@ def _choice(*good: str):
 
 
 _LENGTHS = _ints(14, -1, GENERATE_MAX_N + 1, FORMULA_MAX_N + 1)
+_DIST_LENGTHS = _ints(14, -1, GENERATE_MAX_N + 1, FORMULA_MAX_N, FORMULA_MAX_N + 1)
 _PERMS = (
     permutations_up_to(8).map(format_permutation),
     st.sampled_from(["1 a 2", "0 1", "1 1", "4321", "1 " + "9" * 4000, "1 " + "9" * 5000, " "]),
@@ -743,7 +767,7 @@ def _flags(tmp: Path) -> dict:
     return {
         "count": {**cls, **fmt, "--n-max": _ints(300, 0, -1, COUNT_MAX_N + 1)},
         "enumerate": {**cls, **fmt, "--n": _LENGTHS},
-        "dist": {**cls, **fmt, "--n": _LENGTHS, "--stat": _choice(*STATS),
+        "dist": {**cls, **fmt, "--n": _DIST_LENGTHS, "--stat": _choice(*STATS),
                  "--source": _choice("oracle", "formula"),
                  "--variant": _choice(*VARIANTS)},
         "genfun": {**cls, **fmt, "--n": _LENGTHS,
