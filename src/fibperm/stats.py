@@ -214,7 +214,8 @@ def distribution_formula(
     the statistic over 0..n.  The 'paper' variant evaluates the stated
     forms: F(k) with no impossible band for the statistic, and the stated
     B2 joint binomial.  An unknown class, statistic, variant or a length
-    n < 1 raises DomainError.
+    n < 1 raises DomainError; a joint distribution of more than 500,000
+    cells raises SizeLimitError before any cell is evaluated.
 
     >>> distribution_formula("A1", 4, "inv")
     {0: 1, 1: 3, 2: 1, 3: 2}
