@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
-from fibperm.classes import B_CLASSES, CLASS_IDS, class_spec, count, generate, patterns_of
 from fibperm import stats
+from fibperm.classes import B_CLASSES, CLASS_IDS, class_spec, count, generate, patterns_of
 from fibperm.errors import DomainError, SizeLimitError
 from fibperm.fib import fib_number, tiling_to_perm, tilings
 from fibperm.perms import brute_force_av, inversions
