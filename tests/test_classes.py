@@ -1,3 +1,4 @@
+import pickle
 from itertools import permutations
 
 import pytest
@@ -153,8 +154,17 @@ class TestDecompose:
                     assert compose(cls, decompose(cls, perm)) == perm, (cls, perm)
 
     def test_rejects_non_members(self):
-        with pytest.raises(NotInClassError):
+        with pytest.raises(NotInClassError) as caught:
             decompose("A1", (2, 3, 1))
+        assert str(caught.value) == "(2, 3, 1) of length 3 does not fit the A1 shape"
+        # past 8 values the message shows the first 8 and then ", ..."
+        with pytest.raises(NotInClassError) as caught:
+            decompose("A1", (2, 3, 1) + tuple(range(4, 13)))
+        assert str(caught.value) == (
+            "(2, 3, 1, 4, 5, 6, 7, 8, ...) of length 12 does not fit the A1 shape"
+        )
+        # the message survives the pickling a worker process's result goes through
+        assert str(pickle.loads(pickle.dumps(caught.value))) == str(caught.value)
         with pytest.raises(NotInClassError):
             decompose("B2", (3, 1, 2))
         with pytest.raises(NotInClassError):
@@ -173,6 +183,12 @@ class TestDecompose:
                     except NotInClassError:
                         accepted = False
                     assert accepted == (perm in members), (cls, perm)
+
+    def test_error_built_from_one_message(self):
+        # verify's fault-injection tests raise it this way and read it back
+        exc = NotInClassError("nope")
+        assert str(exc) == "nope"
+        assert str(pickle.loads(pickle.dumps(exc))) == "nope"
 
     def test_empty_b_is_out_of_scope(self):
         with pytest.raises(DomainError, match="^the empty permutation has no pre-part$"):

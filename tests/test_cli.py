@@ -317,8 +317,14 @@ class TestLongMembers:
         assert main(["map", "--bijection", "phi", "--class", "A1", "--perm", perm]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: (2, 3, 1, 4, ")
-        assert len(captured.err.encode()) < 300
+        assert captured.err == (
+            f"error: (2, 3, 1, 4, 5, 6, 7, 8, ...) of length {self.N}"
+            " does not fit the A1 shape\n"
+        )
+        assert main(["map", "--bijection", "phi", "--class", "A1", "--perm", "2 3 1"]) == 4
+        assert capsys.readouterr().err == (
+            "error: (2, 3, 1) of length 3 does not fit the A1 shape\n"
+        )
 
 
 
