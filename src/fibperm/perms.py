@@ -6,9 +6,11 @@ module supplies validation, classical pattern containment, direct and skew
 sums, inversion counting, and a generating-tree avoidance oracle used as the
 ground truth by everything downstream: the avoiders of length n are the
 avoiders of length n - 1 with the value n inserted somewhere, kept when they
-still contain no pattern (West 1995).  It tests candidates with
-``contains_pattern`` alone, so it shares no code with the structural
-generators.
+still contain no pattern (West 1995).  A parent already avoids every
+pattern, so a child can contain one only through the inserted n, which can
+play only the pattern's maximum: the tree tests just those occurrences.  It
+tests candidates with the same search as ``contains_pattern``, so it shares
+no code with the structural generators.
 """
 
 from __future__ import annotations
@@ -127,13 +129,27 @@ def contains_pattern(perm: Sequence[int], pattern: Perm) -> bool:
     >>> contains_pattern((1, 4, 3, 2, 6, 5), (2, 3, 1))
     False
     """
+    return _occurs(perm, tuple(pattern), None)
+
+
+def _occurs(perm: Sequence[int], pattern: Perm, pin: int | None) -> bool:
+    # Backtracking search for an occurrence of *pattern* in *perm*; with
+    # *pin* an index, only the occurrences whose maximum is perm[pin].
     k = len(pattern)
     n = len(perm)
-    if k > n:
-        return False
-    bounds = _tightest_neighbours(tuple(pattern))
-    match = [0] * k
     last_start = n - k  # leave room for the remaining pattern entries
+    if last_start < 0:
+        return False
+    top = -1
+    if pin is not None:
+        top = pattern.index(k)
+        if not top <= pin <= last_start + top:
+            return False  # too few entries on one side of the pin
+        # entry t < top lies at least top - t places before the pin; the
+        # entries after the maximum lie after it, as each starts past the last
+        before_pin = pin - top
+    bounds = _tightest_neighbours(pattern)
+    match = [0] * k
 
     def extend(t: int, start: int) -> bool:
         if t == k:
@@ -141,7 +157,13 @@ def contains_pattern(perm: Sequence[int], pattern: Perm) -> bool:
         lo_idx, lo_gap, hi_idx, hi_gap = bounds[t]
         lo_val = (match[lo_idx] if lo_idx >= 0 else 0) + lo_gap
         hi_val = (match[hi_idx] if hi_idx >= 0 else n + 1) - hi_gap
-        for i in range(start, last_start + t + 1):
+        if t > top:
+            stop = last_start + t + 1
+        elif t < top:
+            stop = before_pin + t + 1
+        else:
+            start, stop = pin, pin + 1
+        for i in range(start, stop):
             if lo_val < perm[i] < hi_val:
                 match[t] = perm[i]
                 if extend(t + 1, i + 1):
@@ -206,7 +228,9 @@ def _brute_force_av(n: int, patterns: tuple[Perm, ...]) -> tuple[Perm, ...]:
     for parent in parents:
         for i in range(n):
             child = parent[:i] + (n,) + parent[i:]
-            if not any(contains_pattern(child, pat) for pat in patterns):
+            # the parent avoids every pattern, so an occurrence in the
+            # child must use n, at index i, as the pattern's maximum
+            if not any(_occurs(child, pat, i) for pat in patterns):
                 children.append(child)
     children.sort()
     return tuple(children)

@@ -52,6 +52,36 @@ def naive_brute_force_av(n: int, patterns) -> list:
     ]
 
 
+def naive_occurrence_maxima(perm: tuple, lengths) -> dict:
+    """For each pattern of a length in *lengths* that *perm* contains, the
+    indices at which one of its occurrences has its maximum, found by
+    standardizing every subsequence."""
+    maxima: dict = {}
+    for k in lengths:
+        for indices in combinations(range(len(perm)), k):
+            pattern = standardize([perm[j] for j in indices])
+            maxima.setdefault(pattern, set()).add(indices[pattern.index(k)])
+    return maxima
+
+
+def naive_pattern_masks(n_max: int, pool) -> dict:
+    """For every permutation of length <= n_max, a bit mask of the patterns
+    of *pool* it contains (bit b for pool[b]).  Read off the definition:
+    a permutation contains q when it is q or when deleting one of its
+    entries leaves a permutation that contains q.  One mask serves every
+    pattern set drawn from the pool, so a factorial filter by it costs a
+    lookup per permutation instead of a search per pattern."""
+    bit = {pattern: 1 << b for b, pattern in enumerate(pool)}
+    masks: dict = {}
+    for n in range(n_max + 1):
+        for perm in permutations(range(1, n + 1)):
+            mask = bit.get(perm, 0)
+            for j, v in enumerate(perm):
+                mask |= masks[tuple(x - (x > v) for x in perm[:j] + perm[j + 1:])]
+            masks[perm] = mask
+    return masks
+
+
 def naive_inversions(perm: tuple) -> int:
     """Inversions by comparing every pair."""
     return sum(

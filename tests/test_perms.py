@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import permutations
 
@@ -12,6 +13,7 @@ from fibperm.perms import (
     BRUTE_FORCE_MAX_CANDIDATES,
     BRUTE_FORCE_MAX_N,
     _brute_force_av,
+    _occurs,
     brute_force_av,
     contains_pattern,
     direct_sum,
@@ -27,6 +29,8 @@ from helpers import (
     naive_brute_force_av,
     naive_contains,
     naive_inversions,
+    naive_occurrence_maxima,
+    naive_pattern_masks,
     permutations_up_to,
 )
 
@@ -131,6 +135,39 @@ class TestContainment:
                     ), (perm, pattern)
 
 
+def assert_pins_exact(perm, patterns):
+    # pinned at i, the search finds an occurrence exactly when one has its
+    # maximum at index i, so some pin finds one exactly when the unpinned
+    # search does
+    maxima = naive_occurrence_maxima(perm, {len(p) for p in patterns})
+    for pattern in patterns:
+        hits = {i for i in range(len(perm)) if _occurs(perm, pattern, i)}
+        assert hits == maxima.get(pattern, set()), (perm, pattern)
+        assert contains_pattern(perm, pattern) == bool(hits), (perm, pattern)
+
+
+class TestPinnedSearch:
+    def test_exhaustive_up_to_length_7(self):
+        """Every permutation of length <= 7 against every pattern of length
+        3 and 4: 177,420 pairs, each pin checked."""
+        for n in range(8):
+            for perm in permutations(range(1, n + 1)):
+                assert_pins_exact(perm, ALL_LEN3 + ALL_LEN4)
+
+    def test_sampled_length_5(self):
+        """A seeded sample of 10 length-5 patterns against 400 seeded
+        permutations of length 8."""
+        rng = random.Random(5)
+        patterns = rng.sample(list(permutations(range(1, 6))), 10)
+        for _ in range(400):
+            assert_pins_exact(tuple(rng.sample(range(1, 9), 8)), patterns)
+
+
+def _random_pattern_set(rng):
+    lengths = [rng.randint(3, 5) for _ in range(rng.randint(1, 3))]
+    return {tuple(rng.sample(range(1, k + 1), k)) for k in lengths}
+
+
 class TestBruteForce:
     def test_frozen_small(self):
         assert brute_force_av(3, {(2, 3, 1), (3, 1, 2), (3, 2, 1)}) == [
@@ -154,6 +191,25 @@ class TestBruteForce:
     def test_tree_matches_factorial_filter(self, patterns):
         for n in range(9):
             assert brute_force_av(n, patterns) == naive_brute_force_av(n, patterns), n
+
+    def test_tree_matches_factorial_filter_on_random_sets(self):
+        """30 seeded random pattern sets of lengths 3-5, and sets whose
+        patterns have their maximum first (321, 312) or last (123, 213),
+        where the tree's pin falls on the first or the last pattern entry;
+        n <= 8."""
+        rng = random.Random(27)
+        first, last = [(3, 2, 1), (3, 1, 2)], [(1, 2, 3), (2, 1, 3)]
+        pattern_sets = [set(first), set(last)] + [{p} for p in first + last]
+        pattern_sets += [_random_pattern_set(rng) for _ in range(30)]
+        pool = sorted(set().union(*pattern_sets))
+        masks = naive_pattern_masks(8, pool)
+        for patterns in pattern_sets:
+            wanted = sum(1 << pool.index(p) for p in patterns)
+            for n in range(9):
+                expected = [
+                    p for p in permutations(range(1, n + 1)) if not masks[p] & wanted
+                ]
+                assert brute_force_av(n, patterns) == expected, (sorted(patterns), n)
 
     def test_limits(self):
         with pytest.raises(DomainError, match="^length -1 is negative$"):
