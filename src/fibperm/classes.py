@@ -188,13 +188,6 @@ def generate(class_id: str, n: int) -> list[Perm]:
     return members
 
 
-def _not_in_class(p: Perm, reason: str) -> NotInClassError:
-    """The error for a non-member; it shows at most the first 8 values, so
-    its message stays short at any length."""
-    shown = ", ".join(map(str, p[:8])) + (", ..." if len(p) > 8 else "")
-    return NotInClassError(f"({shown}) of length {len(p)} {reason}")
-
-
 def decompose(class_id: str, perm: Sequence[int]) -> Decomposition:
     """Parse a member into its shape record; non-members raise
     NotInClassError.
@@ -224,7 +217,7 @@ def decompose(class_id: str, perm: Sequence[int]) -> Decomposition:
     else:
         head_length = p.index(1) + 1
     if len(p) - head_length > fib_len or p[:head_length] != spec.head(head_length):
-        raise _not_in_class(p, f"does not fit the {class_id} shape")
+        raise NotInClassError(p, f"does not fit the {class_id} shape")
     return Decomposition(head_length, tuple(v - head_length for v in p[head_length:]))
 
 

@@ -64,7 +64,21 @@ class NotEvaluableError(DomainError):
 
 
 class NotInClassError(DomainError):
-    """The permutation does not belong to the named avoidance class."""
+    """The permutation does not belong to the named avoidance class.
+
+    Raised as ``NotInClassError(perm, reason)``, it reads ``(v1, ..., v8,
+    ...) of length n reason``: at most the first 8 values, so the message
+    stays short at any length.  The text is built only when read, because
+    ``structure-oracle`` rejects thousands of permutations and reads none.
+    Raised with one argument, it reads as that argument.
+    """
+
+    def __str__(self) -> str:
+        if len(self.args) != 2:
+            return super().__str__()
+        perm, reason = self.args
+        shown = ", ".join(map(str, perm[:8])) + (", ..." if len(perm) > 8 else "")
+        return f"({shown}) of length {len(perm)} {reason}"
 
 
 class ExcludedTilingError(DomainError):
