@@ -163,7 +163,7 @@ class TestDecompose:
         assert str(caught.value) == (
             "(2, 3, 1, 4, 5, 6, 7, 8, ...) of length 12 does not fit the A1 shape"
         )
-        # the message survives the pickling a worker process's result goes through
+        # pickled and loaded again, as between processes, it reads the same
         assert str(pickle.loads(pickle.dumps(caught.value))) == str(caught.value)
         with pytest.raises(NotInClassError):
             decompose("B2", (3, 1, 2))
