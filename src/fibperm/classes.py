@@ -28,7 +28,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import DomainError, NotInClassError, SizeLimitError, check_choice, shorten
-from .fib import extend_fibonacci, fib_number, fib_stat, is_fibonacci
+from .fib import extend_fibonacci, fib_number, fib_permutations, fib_stat, is_fibonacci
 from .perms import Perm, PatternSet, direct_sum, make_pattern_set, make_permutation
 
 # Structural generation is linear per member but the member lists themselves
@@ -165,12 +165,30 @@ class Decomposition:
 
 
 def generate(class_id: str, n: int) -> list[Perm]:
-    """All members of length n, lexicographically.
+    """All members of length n, lexicographically: the Fibonacci
+    permutations, which belong to every class, then the head members.
 
     >>> [" ".join(map(str, p)) for p in generate("B2", 3)]
     ['1 2 3', '1 3 2', '2 1 3', '2 3 1']
     >>> len(generate("A1", 4))
     7
+    """
+    heads = _head_members(class_id, n)  # first: it validates class_id and n
+    # Fibonacci members start 1 or 2 1 and B pre-parts 3, 4, ... or 2 3 1,
+    # 2 3 4 1, ..., so only A heads past length 3, which start 1, need a sort
+    members = fib_permutations(n)
+    members += heads
+    if class_spec(class_id).kind == "A":
+        members.sort()
+    return members
+
+
+def _head_members(class_id: str, n: int) -> list[Perm]:
+    """The members of length n that are not Fibonacci permutations: each
+    head of length 3..n followed by its Fibonacci tails, head by head.
+
+    Every such head contains 231, 312 or 321, so no Fibonacci permutation is
+    among them; ``generate`` and ``genfun.genfun_oracle`` both start here.
     """
     spec = class_spec(class_id)
     if n < 0:
@@ -178,13 +196,9 @@ def generate(class_id: str, n: int) -> list[Perm]:
     if n > GENERATE_MAX_N:
         raise SizeLimitError(f"generation is capped at n = {GENERATE_MAX_N}; "
                              f"got {shorten(str(n))}")
-    # Fibonacci members start 1 or 2 1 and B pre-parts 3, 4, ... or 2 3 1,
-    # 2 3 4 1, ..., so only A heads past length 3, which start 1, need a sort
-    members = extend_fibonacci([], (), n)
+    members: list[Perm] = []
     for head_length in range(3, n + 1):
         extend_fibonacci(members, spec.head(head_length), n)
-    if spec.kind == "A":
-        members.sort()
     return members
 
 

@@ -11,6 +11,7 @@ under the convention F(0) = F(1) = 1.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import DomainError, SizeLimitError
@@ -106,19 +107,31 @@ def tilings(cells: int) -> list[str]:
 def extend_fibonacci(out: list[Perm], prefix: Perm, n: int) -> list[Perm]:
     """Append to *out* and return it: every length-n permutation that is
     *prefix* (on 1..len(prefix)) then a Fibonacci permutation of the values
-    above, lexicographically, so monomino v = len(prefix) + 1 before v+1 v.
+    above, lexicographically.  The values above are cut at their middle, so
+    each result is one concatenation of a left part and a right part.
 
     >>> extend_fibonacci([], (2, 1), 5)
     [(2, 1, 3, 4, 5), (2, 1, 3, 5, 4), (2, 1, 4, 3, 5)]
     """
-    v = len(prefix) + 1
-    if v > n:
-        out.append(prefix)
-        return out
-    extend_fibonacci(out, prefix + (v,), n)
-    if v < n:
-        extend_fibonacci(out, prefix + (v + 1, v), n)
+    out.extend(_fibonacci(prefix, len(prefix) + 1, n))
     return out
+
+
+def _fibonacci(prefix: Perm, lo: int, hi: int) -> list[Perm]:
+    # Cut the values lo..hi at mid: no block crosses the cut, or the domino
+    # (mid+1, mid) does.  So each member is a left part, *prefix* then the
+    # blocks below the cut, followed by a Fibonacci right part of the values
+    # above it.  No left part is a prefix of another (they differ by position
+    # mid at the latest), so sorting the left parts orders the members.
+    if lo >= hi:
+        return [prefix + tuple(range(lo, hi + 1))]
+    mid = (lo + hi) // 2
+    above_mid = _fibonacci((), mid + 1, hi)
+    above_domino = _fibonacci((), mid + 2, hi)
+    lefts = [(a, above_mid) for a in _fibonacci(prefix, lo, mid)]
+    lefts += [(a + (mid + 1, mid), above_domino) for a in _fibonacci(prefix, lo, mid - 1)]
+    lefts.sort(key=itemgetter(0))
+    return [a + b for a, rights in lefts for b in rights]
 
 
 def fib_permutations(n: int) -> list[Perm]:

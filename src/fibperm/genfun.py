@@ -15,10 +15,10 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .classes import class_spec, generate
+from .classes import _head_members, class_spec
 from .corrections import applied
 from .errors import DomainError, NotEvaluableError
-from .fib import fib_stat
+from .fib import fib_permutations, fib_stat
 from .perms import Perm, inversions
 
 __all__ = [
@@ -162,12 +162,22 @@ def fib_poly(n: int) -> Poly:
 def genfun_oracle(class_id: str, n: int) -> Poly:
     """G_n by enumerating the members and folding them with ``_fold``.
 
+    The F(n) Fibonacci permutations belong to every class, so their fold is
+    cached once per length and shared by the four classes; each class folds
+    only its head members, the rest of ``generate(class_id, n)``.
+
     >>> str(genfun_oracle("A1", 3))
     '1*q^3 + 1*v^3 + 2*v^3*q'
     >>> str(genfun_oracle("B2", 3))
     '1*q^2 + 1*v^3 + 2*v^3*q'
     """
-    return _fold(generate(class_id, n), n)
+    # the head members validate the class and the length, as generate does
+    return _fold(_head_members(class_id, n), n) + _fibonacci_fold(n)
+
+
+@lru_cache(maxsize=None)
+def _fibonacci_fold(n: int) -> Poly:
+    return _fold(fib_permutations(n), n)
 
 
 def _fold(members: Iterable[Perm], n: int) -> Poly:

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibperm import cli
@@ -767,6 +767,17 @@ _PERMS = (
 _TILINGS = (st.text(alphabet="md", max_size=40), st.text(alphabet="mdx ", max_size=40))
 
 
+_DIST_EDGE_ARGV = (
+    ["dist", "--class", "A1", "--stat", "inv", "--source", "oracle", "--n", "-1"],
+    ["dist", "--class", "B1", "--stat", "fib", "--source", "oracle",
+     "--n", str(GENERATE_MAX_N + 1)],
+    ["dist", "--class", "A2", "--stat", "joint", "--source", "formula",
+     "--n", str(FORMULA_MAX_N + 1)],
+    ["dist", "--class", "B2", "--stat", "joint", "--source", "formula", "--variant", "paper",
+     "--n", str(FORMULA_MAX_N)],
+)
+
+
 def _flags(tmp: Path) -> dict:
     fmt = {"--format": _choice("text", "json")}
     cls = {"--class": _choice(*CLASS_IDS)}
@@ -834,4 +845,9 @@ def test_generated_argv_ends_in_a_documented_exit(tmp_path, monkeypatch):
         if code >= 2:
             assert len(stderr.encode()) < 300, (argv, stderr)
 
+    # The draws seldom reach an edge dist length, so each is an explicit
+    # example.  They are added after the definition: derandomized draws are
+    # seeded from run's source, decorators included, so the draws stay put.
+    for argv in _DIST_EDGE_ARGV:
+        run = example(argv)(run)
     run()

@@ -5,10 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibperm import fib
-from fibperm.classes import CLASS_IDS, generate
+from fibperm.classes import CLASS_IDS, CLASS_SPECS, generate
 from fibperm.errors import DomainError, SizeLimitError
 from fibperm.fib import (
     FIBONACCI_PATTERNS,
+    extend_fibonacci,
     fib_number,
     fib_permutations,
     fib_stat,
@@ -123,6 +124,18 @@ class TestTilingPermCorrespondence:
         # fib_permutations and tilings are built independently
         for n in range(21):
             assert fib_permutations(n) == [tiling_to_perm(w) for w in tilings(n)], n
+
+    def test_head_extensions_match_decoded_words(self):
+        # every head a class has, extended by the recursion, against the
+        # head followed by each decoded word shifted above it
+        for spec in CLASS_SPECS.values():
+            first = 3 if spec.kind == "A" else 1
+            for n in range(first, 17):
+                for length in range(first, n + 1):
+                    head = spec.head(length)
+                    expected = [head + tuple(v + length for v in tiling_to_perm(w))
+                                for w in tilings(n - length)]
+                    assert extend_fibonacci([], head, n) == expected, (spec.class_id, n, length)
 
     def test_generation_builds_no_words(self):
         fib._tilings.cache_clear()
