@@ -28,7 +28,15 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import DomainError, NotInClassError, SizeLimitError, check_choice, shorten
-from .fib import extend_fibonacci, fib_number, fib_permutations, fib_stat, is_fibonacci
+from .fib import (
+    Product,
+    _fibonacci_products,
+    _flatten,
+    fib_number,
+    fib_permutations,
+    fib_stat,
+    is_fibonacci,
+)
 from .perms import Perm, PatternSet, direct_sum, make_pattern_set, make_permutation
 
 # Structural generation is linear per member but the member lists themselves
@@ -166,29 +174,34 @@ class Decomposition:
 
 def generate(class_id: str, n: int) -> list[Perm]:
     """All members of length n, lexicographically: the Fibonacci
-    permutations, which belong to every class, then the head members.
+    permutations, which belong to every class, then the head members, the
+    head products flattened.
 
     >>> [" ".join(map(str, p)) for p in generate("B2", 3)]
     ['1 2 3', '1 3 2', '2 1 3', '2 3 1']
     >>> len(generate("A1", 4))
     7
     """
-    heads = _head_members(class_id, n)  # first: it validates class_id and n
+    heads = _head_products(class_id, n)  # first: it validates class_id and n
     # Fibonacci members start 1 or 2 1 and B pre-parts 3, 4, ... or 2 3 1,
     # 2 3 4 1, ..., so only A heads past length 3, which start 1, need a sort
     members = fib_permutations(n)
-    members += heads
+    members += _flatten(heads)
     if class_spec(class_id).kind == "A":
         members.sort()
     return members
 
 
-def _head_members(class_id: str, n: int) -> list[Perm]:
-    """The members of length n that are not Fibonacci permutations: each
-    head of length 3..n followed by its Fibonacci tails, head by head.
+def _head_products(class_id: str, n: int) -> list[Product]:
+    """The members of length n that are not Fibonacci permutations, as the
+    middle cut's products: each head of length 3..n, then its Fibonacci
+    tails, head by head.
 
     Every such head contains 231, 312 or 321, so no Fibonacci permutation is
-    among them; ``generate`` and ``genfun.genfun_oracle`` both start here.
+    among them.  Each left part starts with its head, and two heads differ
+    within the shorter one, so no left part is a prefix of another.
+    ``generate`` flattens these products and ``genfun.genfun_oracle`` folds
+    them.
     """
     spec = class_spec(class_id)
     if n < 0:
@@ -196,10 +209,10 @@ def _head_members(class_id: str, n: int) -> list[Perm]:
     if n > GENERATE_MAX_N:
         raise SizeLimitError(f"generation is capped at n = {GENERATE_MAX_N}; "
                              f"got {shorten(str(n))}")
-    members: list[Perm] = []
+    products: list[Product] = []
     for head_length in range(3, n + 1):
-        extend_fibonacci(members, spec.head(head_length), n)
-    return members
+        products += _fibonacci_products(spec.head(head_length), head_length + 1, n)
+    return products
 
 
 def decompose(class_id: str, perm: Sequence[int]) -> Decomposition:

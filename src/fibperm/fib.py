@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, SizeLimitError
 from .perms import Perm
@@ -117,19 +117,41 @@ def extend_fibonacci(out: list[Perm], prefix: Perm, n: int) -> list[Perm]:
     return out
 
 
+# A middle cut's product: every left part followed by every right part.
+Product = tuple[list[Perm], list[Perm]]
+
+
 def _fibonacci(prefix: Perm, lo: int, hi: int) -> list[Perm]:
+    """*prefix* followed by each Fibonacci permutation of the values lo..hi,
+    lexicographically: the middle cut's products, flattened."""
+    if lo >= hi:  # one member: the base case's product, flattened
+        return [prefix + tuple(range(lo, hi + 1))]
+    return _flatten(_fibonacci_products(prefix, lo, hi))
+
+
+def _fibonacci_products(prefix: Perm, lo: int, hi: int) -> list[Product]:
     # Cut the values lo..hi at mid: no block crosses the cut, or the domino
     # (mid+1, mid) does.  So each member is a left part, *prefix* then the
     # blocks below the cut, followed by a Fibonacci right part of the values
-    # above it.  No left part is a prefix of another (they differ by position
-    # mid at the latest), so sorting the left parts orders the members.
+    # above it: the left parts on lo..mid with the right parts on mid+1..hi,
+    # and the left parts ending in (mid+1, mid) with the right parts on
+    # mid+2..hi.
     if lo >= hi:
-        return [prefix + tuple(range(lo, hi + 1))]
+        return [([prefix + tuple(range(lo, hi + 1))], [()])]
     mid = (lo + hi) // 2
-    above_mid = _fibonacci((), mid + 1, hi)
-    above_domino = _fibonacci((), mid + 2, hi)
-    lefts = [(a, above_mid) for a in _fibonacci(prefix, lo, mid)]
-    lefts += [(a + (mid + 1, mid), above_domino) for a in _fibonacci(prefix, lo, mid - 1)]
+    return [
+        (_fibonacci(prefix, lo, mid), _fibonacci((), mid + 1, hi)),
+        ([a + (mid + 1, mid) for a in _fibonacci(prefix, lo, mid - 1)],
+         _fibonacci((), mid + 2, hi)),
+    ]
+
+
+def _flatten(products: Iterable[Product]) -> list[Perm]:
+    # Each left part followed by each of its right parts.  When no left part
+    # is a prefix of another, sorting the left parts orders the members
+    # lexicographically; the middle cut's left parts differ by position mid
+    # at the latest.
+    lefts = [(a, rights) for lefts, rights in products for a in lefts]
     lefts.sort(key=itemgetter(0))
     return [a + b for a, rights in lefts for b in rights]
 

@@ -10,15 +10,14 @@ length-splitting formulas for G_{m+n} from data at m and n.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Hashable, Iterable, Mapping, Optional, Union
 
-from .classes import _head_members, class_spec
+from .classes import _head_products, class_spec
 from .corrections import applied
 from .errors import DomainError, NotEvaluableError
-from .fib import fib_permutations, fib_stat
+from .fib import Product, _fibonacci_products, fib_stat
 from .perms import Perm, inversions
 
 __all__ = [
@@ -160,33 +159,35 @@ def fib_poly(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def genfun_oracle(class_id: str, n: int) -> Poly:
-    """G_n by enumerating the members and folding them with ``_fold``.
+    """G_n by enumerating the members as the middle cut's products and
+    folding them with ``_fold``.
 
     The F(n) Fibonacci permutations belong to every class, so their fold is
     cached once per length and shared by the four classes; each class folds
-    only its head members, the rest of ``generate(class_id, n)``.
+    only its head products, the rest of ``generate(class_id, n)``.
 
     >>> str(genfun_oracle("A1", 3))
     '1*q^3 + 1*v^3 + 2*v^3*q'
     >>> str(genfun_oracle("B2", 3))
     '1*q^2 + 1*v^3 + 2*v^3*q'
     """
-    # the head members validate the class and the length, as generate does
-    return _fold(_head_members(class_id, n), n) + _fibonacci_fold(n)
+    # the head products validate the class and the length, as generate does
+    return _fold(_head_products(class_id, n)) + _fibonacci_fold(n)
 
 
 @lru_cache(maxsize=None)
 def _fibonacci_fold(n: int) -> Poly:
-    return _fold(fib_permutations(n), n)
+    return _fold(_fibonacci_products((), 1, n))
 
 
-def _fold(members: Iterable[Perm], n: int) -> Poly:
-    """Sum of v^fib_stat(p) q^inv(p) over *members*, permutations of 1..n,
-    with both statistics read from each member's two halves.
+def _fold(products: Iterable[Product]) -> Poly:
+    """Sum of v^fib_stat(p) q^inv(p) over the members p = a + b of
+    *products*, for every left part a and right part b of a product, with
+    both statistics read from the two parts.  Every member is a
+    permutation of 1..n, so the left parts of one product share a length h.
 
-    Cut p at h = n // 2 into a = p[:h] and b = p[h:].  Each x in a has
-    x - 1 smaller values; C(h, 2) of those pairs lie inside a, and the rest
-    are entries of b after x, each an inversion.  So
+    Each x in a has x - 1 smaller values; C(h, 2) of those pairs lie inside
+    a, and the rest are entries of b after x, each an inversion.  So
     inv(p) = inv(a) + inv(b) + sum(a) - h(h+1)/2.
 
     ``fib_stat`` scans p from the right, and while it is inside b its steps
@@ -199,46 +200,50 @@ def _fold(members: Iterable[Perm], n: int) -> Poly:
       domino (h+1, h) crosses the cut, and the scan of p goes on with
       2 + fib_stat(a[:-1]); otherwise it stops there too.
 
-    The cut is positional, so this holds for every permutation of 1..n.
-    Members share halves, so each distinct half is measured once, through
-    dicts local to the call: a member costs two lookups and an add.
+    The cut is positional, so this holds for every permutation of 1..n, and
+    no member is built: each left part is measured once, the right parts
+    of a product are tallied by (fib, inv, way), and each pair of a left
+    part's way and a right tally adds the product of their counts.
     """
-    h = n // 2
-    shift = h * (h + 1) // 2
-    # a -> the (fib, inv) it adds after a right half whose scan ends in
+    total: dict[Exponents, int] = {}
+    for lefts, rights in products:
+        h = len(lefts[0])
+        right_tally = _tally(_right_stats(b, h) for b in rights)
+        for ways, left_count in _tally(map(_left_ways, lefts)).items():
+            for (fib, inv, way), right_count in right_tally.items():
+                a_fib, a_inv = ways[way]
+                key = a_fib + fib, a_inv + inv
+                total[key] = total.get(key, 0) + left_count * right_count
+    return Poly(total)
+
+
+def _tally(items: Iterable[Hashable]) -> dict[Hashable, int]:
+    # Counter's constructor costs more than this on the many products with
+    # one left or right part
+    counts: dict[Hashable, int] = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
+    return counts
+
+
+def _left_ways(a: Perm) -> tuple[Exponents, Exponents, Exponents]:
+    # the (fib, inv) a left part adds after a right part whose scan ends in
     # way 0 (inside b), 1 (at the cut) or 2 (one entry short, b[0] = h)
-    lefts: dict[Perm, tuple[Exponents, Exponents, Exponents]] = {}
-    # b -> (fib, inv, the way its scan ends)
-    rights: dict[Perm, tuple[int, int, int]] = {}
+    h = len(a)
+    inv = inversions(a) + sum(a) - h * (h + 1) // 2
+    straddle = 2 + fib_stat(a[:-1]) if a and a[-1] == h + 1 else 0
+    return (0, inv), (fib_stat(a), inv), (straddle, inv)
 
-    def left(a: Perm) -> tuple[Exponents, Exponents, Exponents]:
-        inv = inversions(a) + sum(a) - shift
-        straddle = 2 + fib_stat(a[:-1]) if a and a[-1] == h + 1 else 0
-        return (0, inv), (fib_stat(a), inv), (straddle, inv)
 
-    def right(b: Perm) -> tuple[int, int, int]:
-        fib = fib_stat(tuple(v - h for v in b))
-        if fib == len(b):
-            way = 1
-        elif fib == len(b) - 1 and b[0] == h:
-            way = 2
-        else:
-            way = 0
-        return fib, inversions(b), way
-
-    def pairs() -> Iterator[Exponents]:
-        for p in members:
-            a, b = p[:h], p[h:]
-            a_ways = lefts.get(a)
-            if a_ways is None:
-                a_ways = lefts[a] = left(a)
-            b_stats = rights.get(b)
-            if b_stats is None:
-                b_stats = rights[b] = right(b)
-            fib, inv = a_ways[b_stats[2]]
-            yield fib + b_stats[0], inv + b_stats[1]
-
-    return Poly(Counter(pairs()))
+def _right_stats(b: Perm, h: int) -> tuple[int, int, int]:
+    fib = fib_stat(tuple([v - h for v in b]))
+    if fib == len(b):
+        way = 1
+    elif fib == len(b) - 1 and b[0] == h:
+        way = 2
+    else:
+        way = 0
+    return fib, inversions(b), way
 
 
 def genfun_closed(class_id: str, n: int, variant: str = "corrected") -> Poly:

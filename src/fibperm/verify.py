@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
@@ -50,18 +49,19 @@ from .errors import (
     check_choice,
     shorten,
 )
-from .fib import fib_number, fib_permutations, tilings
+from .fib import fib_number, tilings
 from .genfun import (
     ONE,
     Q,
     V,
     Poly,
+    _fibonacci_fold,
     genfun_addition,
     genfun_closed,
     genfun_oracle,
     genfun_recurrence,
 )
-from .perms import BRUTE_FORCE_MAX_N, brute_force_av, inversions
+from .perms import BRUTE_FORCE_MAX_N, brute_force_av
 from .stats import (
     VARIANTS,
     binomial,
@@ -86,9 +86,9 @@ __all__ = [
 ]
 
 # At any --n-max, bijection-image maps every member up to length 12 and
-# fib-inv tallies every Fibonacci permutation up to length 16: this bounds
-# their time, well inside the module caps (26 for generate, 27 cells for
-# tilings and fib_permutations).  The scalar identities run at least to 30.
+# fib-inv folds the Fibonacci permutations up to length 16: this bounds
+# their time, well inside the module caps (26 for generate and the G_n
+# oracle, 27 cells for tilings).  The scalar identities run at least to 30.
 _BIJECTION_MAX_N = 12
 _SCALAR_MIN_RANGE = 30
 _FIB_ENUM_MAX_N = 16
@@ -409,10 +409,12 @@ def _fib_inv_cases(class_id, variant, b) -> Iterator[Case]:
             yield {"n": n, "k": k}, polys[n].coefficient(0, k), fib_inv_count(n, k), (
                 "recurrence-built inversion polynomial disagrees"
             )
+    # every Fibonacci permutation has fib = n, so the enumerated count with
+    # k inversions is the v^n q^k coefficient of their cached fold
     for n in range(0, b.n_fib_enum + 1):
-        counted = Counter(inversions(p) for p in fib_permutations(n))
+        counted = _fibonacci_fold(n)
         for k in range(0, n // 2 + 2):
-            yield {"n": n, "k": k}, counted.get(k, 0), fib_inv_count(n, k), (
+            yield {"n": n, "k": k}, counted.coefficient(n, k), fib_inv_count(n, k), (
                 "enumeration disagrees with C(n-k, k)"
             )
 

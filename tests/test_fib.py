@@ -137,6 +137,20 @@ class TestTilingPermCorrespondence:
                                 for w in tilings(n - length)]
                     assert extend_fibonacci([], head, n) == expected, (spec.class_id, n, length)
 
+    def test_products_flatten_to_decoded_words(self):
+        # the middle cut's products for every head a class has and for the
+        # empty one, flattened here without fib's sort: each left part of a
+        # product followed by each of its right parts, each member once
+        for n in range(17):
+            heads = {()} | {spec.head(length) for spec in CLASS_SPECS.values()
+                            for length in range(3 if spec.kind == "A" else 1, n + 1)}
+            for head in heads:
+                expected = [head + tuple(v + len(head) for v in tiling_to_perm(w))
+                            for w in tilings(n - len(head))]
+                products = fib._fibonacci_products(head, len(head) + 1, n)
+                flat = [a + b for lefts, rights in products for a in lefts for b in rights]
+                assert sorted(flat) == expected, (head, n)
+
     def test_generation_builds_no_words(self):
         fib._tilings.cache_clear()
         for n in range(12):

@@ -134,8 +134,8 @@ class TestOracle:
                 assert genfun_oracle(cls, n).evaluate(1, 1) == count(cls, n)
 
     def test_equals_direct_fold(self):
-        # the oracle reads both statistics from memoised halves; this fold
-        # scans each whole member
+        # the oracle reads both statistics from the middle cut's left and
+        # right parts; this fold scans each whole member
         for cls in CLASS_IDS:
             for n in range(0, 21):
                 direct = Poly(Counter(
@@ -144,21 +144,38 @@ class TestOracle:
                 assert genfun_oracle(cls, n) == direct, (cls, n)
 
     def test_fold_equals_naive_fold_on_every_short_permutation(self):
-        # every permutation of length <= 8, folded at the oracle's own cut,
-        # as one stream (the halves' memos shared) and one member at a time
+        # every permutation of length <= 8, cut at every h, in one stream of
+        # whole products: the left parts on one set of values times all
+        # their right parts.  Up to length 7 at every cut, and at h = n // 2
+        # for length 8, also one member at a time as a one-left product and
+        # in one stream of multi-right products grouped by left part.
         for n in range(0, 9):
             perms = list(permutations(range(1, n + 1)))
             stats = [(naive_fib_stat(p), naive_inversions(p)) for p in perms]
-            assert _fold(perms, n) == Poly(Counter(stats)), n
-            for p, pair in zip(perms, stats):
-                assert _fold([p], n) == Poly({pair: 1}), p
+            folded = Poly(Counter(stats))
+            for h in range(n + 1):
+                by_values: dict = {}
+                for p in perms:
+                    lefts, rights = by_values.setdefault(frozenset(p[:h]), ({}, {}))
+                    lefts[p[:h]] = rights[p[h:]] = None
+                assert _fold([(list(lefts), list(rights))
+                              for lefts, rights in by_values.values()]) == folded, (n, h)
+                if n == 8 and h != n // 2:
+                    continue
+                by_left: dict = {}
+                for p, pair in zip(perms, stats):
+                    by_left.setdefault(p[:h], []).append(p[h:])
+                    assert _fold([([p[:h]], [p[h:]])]) == Poly({pair: 1}), (p, h)
+                assert _fold([([a], rights) for a, rights in by_left.items()]) == folded, (n, h)
 
     @given(fibonacci_tailed())
     @example((1, 3, 2, 4))  # the domino (3, 2) crosses the cut at h = 2
-    @example((2, 1, 4, 3))  # the scan of b = (4, 3) reaches the cut
-    @example((3, 1, 2, 4))  # b[0] = h, but a[-1] is not h + 1
+    @example((2, 1, 4, 3))  # the scan of b = (4, 3) reaches the cut at h = 2
+    @example((3, 1, 2, 4))  # b[0] = h at h = 2, but a[-1] is not h + 1
     def test_fold_on_long_fibonacci_suffixes(self, p):
-        assert _fold([p], len(p)) == Poly({(fib_stat(p), naive_inversions(p)): 1})
+        pair = (fib_stat(p), naive_inversions(p))
+        for h in range(len(p) + 1):
+            assert _fold([([p[:h]], [p[h:]])]) == Poly({pair: 1}), h
 
     @given(permutations_up_to(26))
     def test_cut_identity(self, p):
