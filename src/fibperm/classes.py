@@ -234,8 +234,11 @@ def decompose(class_id: str, perm: Sequence[int]) -> Decomposition:
     >>> decompose("B1", (3, 2, 1, 5, 4, 6, 7))
     Decomposition(head_length=3, tail=(2, 1, 3, 4))
     """
-    spec = class_spec(class_id)
-    p = make_permutation(perm)
+    return _decompose(class_spec(class_id), make_permutation(perm))
+
+
+def _decompose(spec: ClassSpec, p: Perm) -> Decomposition:
+    # decompose's parse of a permutation already known to be valid
     fib_len = fib_stat(p)
     if spec.kind == "A":
         head_length = len(p) - fib_len
@@ -244,7 +247,7 @@ def decompose(class_id: str, perm: Sequence[int]) -> Decomposition:
     else:
         head_length = p.index(1) + 1
     if len(p) - head_length > fib_len or p[:head_length] != spec.head(head_length):
-        raise NotInClassError(p, f"does not fit the {class_id} shape")
+        raise NotInClassError(p, f"does not fit the {spec.class_id} shape")
     return Decomposition(head_length, tuple(v - head_length for v in p[head_length:]))
 
 

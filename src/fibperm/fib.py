@@ -118,7 +118,7 @@ def extend_fibonacci(out: list[Perm], prefix: Perm, n: int) -> list[Perm]:
 
 
 # A middle cut's product: every left part followed by every right part.
-Product = tuple[list[Perm], list[Perm]]
+Product = tuple[Sequence[Perm], Sequence[Perm]]
 
 
 def _fibonacci(prefix: Perm, lo: int, hi: int) -> list[Perm]:
@@ -130,20 +130,36 @@ def _fibonacci(prefix: Perm, lo: int, hi: int) -> list[Perm]:
 
 
 def _fibonacci_products(prefix: Perm, lo: int, hi: int) -> list[Product]:
-    # Cut the values lo..hi at mid: no block crosses the cut, or the domino
-    # (mid+1, mid) does.  So each member is a left part, *prefix* then the
-    # blocks below the cut, followed by a Fibonacci right part of the values
-    # above it: the left parts on lo..mid with the right parts on mid+1..hi,
-    # and the left parts ending in (mid+1, mid) with the right parts on
-    # mid+2..hi.
+    """The middle cut's two products for *prefix* followed by each Fibonacci
+    permutation of the values lo..hi.
+
+    Cut the values lo..hi at mid: no block crosses the cut, or the domino
+    (mid+1, mid) does.  So each member is a left part, *prefix* then the
+    blocks below the cut, followed by a Fibonacci right part of the values
+    above it: the left parts on lo..mid with the right parts on mid+1..hi,
+    and the left parts ending in (mid+1, mid) with the right parts on
+    mid+2..hi.  The right parts depend on the value range alone, so they
+    come from ``_fibonacci_block``, one shared tuple per range; the left
+    parts are fresh lists.
+    """
     if lo >= hi:
-        return [([prefix + tuple(range(lo, hi + 1))], [()])]
+        return [([prefix + tuple(range(lo, hi + 1))], ((),))]
     mid = (lo + hi) // 2
     return [
-        (_fibonacci(prefix, lo, mid), _fibonacci((), mid + 1, hi)),
+        (_fibonacci(prefix, lo, mid), _fibonacci_block(mid + 1, hi)),
         ([a + (mid + 1, mid) for a in _fibonacci(prefix, lo, mid - 1)],
-         _fibonacci((), mid + 2, hi)),
+         _fibonacci_block(mid + 2, hi)),
     ]
+
+
+@lru_cache(maxsize=None)
+def _fibonacci_block(lo: int, hi: int) -> tuple[Perm, ...]:
+    # The Fibonacci permutations of the values lo..hi, built once per
+    # process.  Only right parts are blocks, and those lie above a middle
+    # cut, so a block holds at most half of a range's values (F(13) = 377
+    # tuples at n = 26); the top-level ranges of fib_permutations and
+    # generate are never cached and come back as fresh lists.
+    return tuple(_fibonacci((), lo, hi))
 
 
 def _flatten(products: Iterable[Product]) -> list[Perm]:

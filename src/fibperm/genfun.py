@@ -11,10 +11,11 @@ length-splitting formulas for G_{m+n} from data at m and n.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count, islice
 from math import comb
-from typing import Hashable, Iterable, Mapping, Optional, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Union
 
-from .classes import _head_products, class_spec
+from .classes import ClassSpec, _head_products, class_spec
 from .corrections import applied
 from .errors import DomainError, NotEvaluableError
 from .fib import Product, _fibonacci_products, fib_stat
@@ -60,6 +61,20 @@ class Poly:
     def monomial(cls, coeff: int, v_exp: int, q_exp: int) -> "Poly":
         return cls({(v_exp, q_exp): coeff})
 
+    @classmethod
+    def _of(cls, terms: Mapping[Exponents, int]) -> "Poly":
+        # the constructor for terms built from valid polynomials: it drops
+        # zero coefficients but skips the exponent check
+        poly = cls.__new__(cls)
+        poly._terms = {e: c for e, c in terms.items() if c}
+        return poly
+
+    def _shift(self, dv: int, dq: int) -> "Poly":
+        # self * v^dv q^dq, without a product's double loop; a negative
+        # exponent in the result raises as Poly.monomial does
+        shifted = {(a + dv, b + dq): c for (a, b), c in self._terms.items()}
+        return Poly(shifted) if dv < 0 or dq < 0 else Poly._of(shifted)
+
     def terms(self) -> tuple[tuple[Exponents, int], ...]:
         """Terms as ((v_exp, q_exp), coeff), sorted by exponents."""
         return tuple(sorted(self._terms.items()))
@@ -76,10 +91,10 @@ class Poly:
         data = dict(self._terms)
         for e, c in other._terms.items():
             data[e] = data.get(e, 0) + c
-        return Poly(data)
+        return Poly._of(data)
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self._terms.items()})
+        return Poly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -88,7 +103,7 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
         if isinstance(other, int):
-            return Poly({e: c * other for e, c in self._terms.items()})
+            return Poly._of({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         data: dict[Exponents, int] = {}
@@ -96,7 +111,7 @@ class Poly:
             for (a2, b2), c2 in other._terms.items():
                 e = (a1 + a2, b1 + b2)
                 data[e] = data.get(e, 0) + c1 * c2
-        return Poly(data)
+        return Poly._of(data)
 
     __rmul__ = __mul__
 
@@ -132,14 +147,6 @@ ZERO = Poly()
 ONE = Poly.monomial(1, 0, 0)
 V = Poly.monomial(1, 1, 0)
 Q = Poly.monomial(1, 0, 1)
-
-
-def _vpow(exp: int) -> Poly:
-    return Poly.monomial(1, exp, 0)
-
-
-def _qpow(exp: int) -> Poly:
-    return Poly.monomial(1, 0, exp)
 
 
 @lru_cache(maxsize=None)
@@ -203,18 +210,30 @@ def _fold(products: Iterable[Product]) -> Poly:
     The cut is positional, so this holds for every permutation of 1..n, and
     no member is built: each left part is measured once, the right parts
     of a product are tallied by (fib, inv, way), and each pair of a left
-    part's way and a right tally adds the product of their counts.
+    part's way and a right tally adds the product of their counts.  A
+    right tally depends only on h and the right parts, so ``_right_tally``
+    keeps it by that content: the blocks of right parts that
+    ``fib._fibonacci_block`` shares between heads, classes and lengths are
+    tallied once each.
     """
     total: dict[Exponents, int] = {}
     for lefts, rights in products:
         h = len(lefts[0])
-        right_tally = _tally(_right_stats(b, h) for b in rights)
+        right_tally = _right_tally(h, tuple(rights))
         for ways, left_count in _tally(map(_left_ways, lefts)).items():
-            for (fib, inv, way), right_count in right_tally.items():
+            for (fib, inv, way), right_count in right_tally:
                 a_fib, a_inv = ways[way]
                 key = a_fib + fib, a_inv + inv
                 total[key] = total.get(key, 0) + left_count * right_count
-    return Poly(total)
+    return Poly._of(total)
+
+
+# The oracles' right parts are fib's blocks, one per value range lo..hi
+# inside 1..27 (378 ranges, and the empty part at 28 values of h), so the
+# bound holds them all; it keeps other products from growing it without end.
+@lru_cache(maxsize=512)
+def _right_tally(h: int, rights: tuple[Perm, ...]) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    return tuple(_tally(_right_stats(b, h) for b in rights).items())
 
 
 def _tally(items: Iterable[Hashable]) -> dict[Hashable, int]:
@@ -262,7 +281,7 @@ def genfun_closed(class_id: str, n: int, variant: str = "corrected") -> Poly:
     fixes = applied(variant, "gf-closed", class_id)
     if n < 3:
         raise DomainError(f"the summation formula needs n >= 3; got {n}")
-    total = _vpow(n) * fib_poly(n)
+    terms = dict(fib_poly(n)._shift(n, 0)._terms)
     for j in range(n - 2):
         q_exp = spec.tail_q_exponent(j if "gf-closed.head-length" not in fixes else n - j)
         if q_exp < 0:
@@ -270,14 +289,16 @@ def genfun_closed(class_id: str, n: int, variant: str = "corrected") -> Poly:
                 f"{class_id} {variant} summation at n = {n}: "
                 f"the j = {j} term calls for q^{q_exp}"
             )
-        total = total + _qpow(q_exp) * _vpow(j) * fib_poly(j)
-    return total
+        for e, c in fib_poly(j)._shift(j, q_exp)._terms.items():
+            terms[e] = terms.get(e, 0) + c
+    return Poly._of(terms)
 
 
 def genfun_recurrence(class_id: str, n: int) -> Poly:
     """G_n by iterating G_k = q^(tail exponent) + v G_{k-1} + q v^2 G_{k-2}
     from the bases G_1 = v and G_2 = v^2 + q v^2 (recurrence valid from
-    n = 3 up).
+    n = 3 up): the n-th level of ``_recurrence_levels``, the one pass that
+    ``verify`` also walks.
 
     >>> genfun_recurrence("B1", 4) == genfun_oracle("B1", 4)
     True
@@ -285,14 +306,17 @@ def genfun_recurrence(class_id: str, n: int) -> Poly:
     spec = class_spec(class_id)
     if n < 1:
         raise DomainError(f"the recurrence starts at n = 1; got {n}")
-    g_prev = V
-    g_cur = V * V + Q * V * V
-    if n == 1:
-        return g_prev
-    for k in range(3, n + 1):
-        head = _qpow(spec.tail_q_exponent(k))
-        g_prev, g_cur = g_cur, head + V * g_cur + Q * V * V * g_prev
-    return g_cur
+    return next(islice(_recurrence_levels(spec), n - 1, None))
+
+
+def _recurrence_levels(spec: ClassSpec) -> Iterator[Poly]:
+    # G_1, G_2, G_3, ... without end, holding only the last two levels
+    g_prev, g_cur = V, V * V + Q * V * V
+    yield g_prev
+    for k in count(3):
+        yield g_cur
+        head = ONE._shift(0, spec.tail_q_exponent(k))
+        g_prev, g_cur = g_cur, head + g_cur._shift(1, 0) + g_prev._shift(2, 1)
 
 
 def genfun_addition(
@@ -321,19 +345,19 @@ def genfun_addition(
     if m < 2 or n < 2:
         raise DomainError(f"the addition formulas need m, n >= 2; got ({m}, {n})")
     straddle_v = n + 2 if "gf-addition.straddle" not in fixes else n + 1
-    total = _vpow(n) * genfun_oracle(class_id, m) * fib_poly(n)
-    total = total + Q * _vpow(straddle_v) * genfun_oracle(class_id, m - 1) * fib_poly(n - 1)
+    total = (genfun_oracle(class_id, m) * fib_poly(n))._shift(n, 0)
+    total = total + (genfun_oracle(class_id, m - 1) * fib_poly(n - 1))._shift(straddle_v, 1)
     if class_id == "B1":
         if "gf-addition.b1-pre-part" not in fixes:
             tail = ZERO
             for i in range(n + 1):
-                tail = tail + _vpow(i) * fib_poly(i) * _qpow(comb(i, 2) + i * m)
-            return total + _vpow(comb(m, 2)) * tail
+                tail = tail + fib_poly(i)._shift(i, comb(i, 2) + i * m)
+            return total + tail._shift(comb(m, 2), 0)
         for i in range(n):
-            total = total + _qpow(e(m + n - i)) * _vpow(i) * fib_poly(i)
+            total = total + fib_poly(i)._shift(i, e(m + n - i))
         return total
-    total = total + _qpow(e(m + 1)) * _vpow(n - 1) * fib_poly(n - 1)
+    total = total + fib_poly(n - 1)._shift(n - 1, e(m + 1))
     if spec.kind == "A" or "gf-addition.b2-missing-term" in fixes:  # stated B2 lacks it
-        total = total + _qpow(e(m + 2)) * _vpow(n - 2) * fib_poly(n - 2)
-    rest = genfun_oracle(class_id, n) - _vpow(n) * fib_poly(n)
-    return total + _qpow(e(m + n) - e(n)) * rest
+        total = total + fib_poly(n - 2)._shift(n - 2, e(m + 2))
+    rest = genfun_oracle(class_id, n) - fib_poly(n)._shift(n, 0)
+    return total + rest._shift(0, e(m + n) - e(n))

@@ -32,11 +32,11 @@ from .classes import (
     CLASS_IDS,
     CLASS_SPECS,
     GENERATE_MAX_N,
+    _decompose,
     check_class_id,
     class_spec,
     compose,
     count,
-    decompose,
     generate,
     patterns_of,
 )
@@ -56,10 +56,10 @@ from .genfun import (
     V,
     Poly,
     _fibonacci_fold,
+    _recurrence_levels,
     genfun_addition,
     genfun_closed,
     genfun_oracle,
-    genfun_recurrence,
 )
 from .perms import BRUTE_FORCE_MAX_N, brute_force_av
 from .stats import (
@@ -223,8 +223,10 @@ def _structure_disagreement(class_id: str, n: int) -> Optional[str]:
     The candidates are every permutation for n <= 6, else every one-point
     extension of a length-(n-1) member (some value v inserted anywhere, the
     values >= v shifted up): all the members and the non-members nearest
-    the class boundary."""
-    patterns = patterns_of(class_id)
+    the class boundary, all permutations by construction, so each is
+    parsed without ``decompose``'s validation."""
+    spec = class_spec(class_id)
+    patterns = spec.patterns
     members = set(brute_force_av(n, patterns))
     if n <= 6:
         candidates = itertools.permutations(range(1, n + 1))
@@ -237,10 +239,10 @@ def _structure_disagreement(class_id: str, n: int) -> Optional[str]:
             for i in range(n)
         )
     for p in candidates:
-        if not p and class_spec(class_id).kind == "B":
+        if not p and spec.kind == "B":
             continue  # the empty B-type member has no pre-part to parse
         try:
-            parsed = decompose(class_id, p)
+            parsed = _decompose(spec, p)
         except NotInClassError:
             if p in members:
                 return f"member {p} was rejected by decompose"
@@ -314,12 +316,11 @@ def _gf_closed_cases(class_id, variant, b) -> Iterator[Case]:
 
 
 def _gf_recurrence_cases(class_id, variant, b) -> Iterator[Case]:
-    for n in (1, 2):
-        yield (
-            {"n": n},
-            genfun_oracle(class_id, n),
-            genfun_recurrence(class_id, n),
-            "base case disagrees with enumeration",
+    # one pass of the recurrence: G_1, G_2, then each G_n the loop reads
+    levels = _recurrence_levels(class_spec(class_id))
+    for n, formula in zip((1, 2), levels):
+        yield {"n": n}, genfun_oracle(class_id, n), formula, (
+            "base case disagrees with enumeration"
         )
     for n in range(b.rec_start, b.n_gf + 1):
         truth = genfun_oracle(class_id, n)
@@ -335,7 +336,7 @@ def _gf_recurrence_cases(class_id, variant, b) -> Iterator[Case]:
                 "the n = 2 instance adds a spurious tail monomial"
             )
         else:
-            yield {"n": n}, truth, genfun_recurrence(class_id, n), (
+            yield {"n": n}, truth, next(levels), (
                 "recurrence disagrees with enumeration"
             )
 

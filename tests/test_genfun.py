@@ -6,9 +6,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fibperm.classes import CLASS_IDS, count, generate
+from fibperm.classes import CLASS_IDS, class_spec, count, generate
 from fibperm.errors import DomainError, NotEvaluableError
-from fibperm.fib import fib_number, fib_stat, tiling_cells, tiling_to_perm
+from fibperm.fib import (
+    fib_number,
+    fib_permutations,
+    fib_stat,
+    is_fibonacci,
+    tiling_cells,
+    tiling_to_perm,
+)
 from fibperm.genfun import (
     ONE,
     Q,
@@ -16,6 +23,7 @@ from fibperm.genfun import (
     ZERO,
     Poly,
     _fold,
+    _recurrence_levels,
     fib_poly,
     genfun_addition,
     genfun_closed,
@@ -104,6 +112,27 @@ class TestPoly:
         assert (a + b).evaluate(v, q) == a.evaluate(v, q) + b.evaluate(v, q)
         assert (a * b).evaluate(v, q) == a.evaluate(v, q) * b.evaluate(v, q)
 
+    @given(small_polys(), st.integers(0, 5), st.integers(0, 5))
+    def test_shift_is_a_monomial_product(self, p, dv, dq):
+        assert p._shift(dv, dq) == p * Poly.monomial(1, dv, dq)
+        assert p._shift(dv, dq).terms() == (p * Poly.monomial(1, dv, dq)).terms()
+
+    @given(small_polys().filter(lambda p: p != ZERO), st.booleans(), st.integers(1, 3))
+    def test_shift_below_zero_is_refused(self, p, in_v, below):
+        # shifting the lowest exponent of v (or of q) below 0
+        low = min(e[0 if in_v else 1] for e, _ in p.terms())
+        shift = (-low - below, 0) if in_v else (0, -low - below)
+        with pytest.raises(DomainError, match=r"^negative exponent in v\^-?\d+\*q\^-?\d+$"):
+            p._shift(*shift)
+
+    @given(small_polys(), small_polys())
+    def test_cancellation_leaves_no_terms(self, a, b):
+        # the results of + and - keep no zero coefficient, so a sum that
+        # cancels is ZERO term for term
+        for zero in (a - a, (a + b) - b - a, a + (-a), a * 0, (a + b) * 0):
+            assert zero.terms() == () and zero == ZERO
+        assert (a + b - b).terms() == a.terms()
+
 
 class TestFibPoly:
     def test_frozen(self):
@@ -188,6 +217,53 @@ class TestOracle:
             ), (p, h)
 
 
+class TestCacheSafety:
+    """The fold keeps each right tally by the right parts' content, and fib
+    shares blocks of right parts between calls; with both caches warm, other
+    parts and fresh member lists must come out as if nothing were cached."""
+
+    @pytest.fixture(autouse=True)
+    def warm(self):
+        for cls in CLASS_IDS:
+            for n in range(19):
+                genfun_oracle(cls, n)
+
+    def test_fold_tells_apart_right_parts_of_one_h_and_length(self):
+        # for each cut h of 1..n, n <= 6: left parts on the bottom or top h
+        # values, and right parts on the rest, as every permutation, the
+        # Fibonacci ones (in a list, as a cached block would hold them), the
+        # others and the Fibonacci ones reversed; every kind shares h and
+        # its length with the others
+        for n in range(2, 7):
+            for h in range(1, n):
+                for low in (1, n - h + 1):
+                    values = range(low, low + h)
+                    rest = [v for v in range(1, n + 1) if v not in values]
+                    lefts = list(permutations(values))
+                    every = list(permutations(rest))
+                    fib = [b for b in every if is_fibonacci([rest.index(v) + 1 for v in b])]
+                    others = [b for b in every if b not in fib]
+                    for rights in (every, fib, others, fib[::-1]):
+                        naive = Poly(Counter(
+                            (naive_fib_stat(a + b), naive_inversions(a + b))
+                            for a in lefts for b in rights
+                        ))
+                        assert _fold([(lefts, rights)]) == naive, (n, h, low, rights)
+
+    def test_fibonacci_lists_are_fresh(self):
+        first = fib_permutations(12)
+        second = fib_permutations(12)
+        assert first is not second and first == second
+        expected = list(second)
+        first.clear()
+        second[0] = ()
+        assert fib_permutations(12) == expected
+        for cls in CLASS_IDS:
+            members = generate(cls, 12)
+            members.append(())
+            assert generate(cls, 12) == members[:-1]
+
+
 class TestClosedForm:
     def test_corrected_matches_oracle(self):
         for cls in CLASS_IDS:
@@ -234,6 +310,32 @@ class TestRecurrence:
         for cls in CLASS_IDS:
             for n in range(1, 13):
                 assert genfun_recurrence(cls, n).evaluate(1, 1) == count(cls, n)
+
+    def test_one_pass_equals_the_per_n_loop(self):
+        # the loop genfun_recurrence ran for each n before the single pass,
+        # from the bases, with public V and Q products only
+        def per_n(cls, n):
+            e = class_spec(cls).tail_q_exponent
+            g_prev, g_cur = V, V * V + Q * V * V
+            if n == 1:
+                return g_prev
+            for k in range(3, n + 1):
+                g_prev, g_cur = g_cur, Poly.monomial(1, 0, e(k)) + V * g_cur + Q * V * V * g_prev
+            return g_cur
+
+        for cls in CLASS_IDS:
+            levels = _recurrence_levels(class_spec(cls))
+            for n, level in zip(range(1, 41), levels):
+                expected = per_n(cls, n)
+                assert level == expected, (cls, n)
+                assert genfun_recurrence(cls, n) == expected, (cls, n)
+
+    def test_domain(self):
+        for n in (0, -1):
+            with pytest.raises(DomainError, match=f"^the recurrence starts at n = 1; got {n}$"):
+                genfun_recurrence("A1", n)
+        with pytest.raises(DomainError, match="^unknown class"):
+            genfun_recurrence("Z9", 0)
 
 
 class TestAddition:

@@ -294,12 +294,12 @@ class TestStructureOracle:
         # Not in A1 (it contains 4321), and one inserted value away from the
         # member 3 2 1 5 4 7 6; a 1-in-97 sample of all 8! permutations skips it.
         bad = (4, 3, 2, 1, 6, 5, 8, 7)
-        real = verify.decompose
+        real = verify._decompose
 
-        def lenient(class_id, perm):
-            return None if perm == bad else real(class_id, perm)
+        def lenient(spec, perm):
+            return None if perm == bad else real(spec, perm)
 
-        monkeypatch.setattr(verify, "decompose", lenient)
+        monkeypatch.setattr(verify, "_decompose", lenient)
         report = check_identity("structure-oracle", "corrected", class_id="A1", n_max=8)
         assert report.status == "fail"
         assert report.notes == f"non-member {bad} was not rejected by decompose"
@@ -318,14 +318,14 @@ class TestStructureOracle:
 
     @staticmethod
     def reject_1432(monkeypatch):
-        real = verify.decompose
+        real = verify._decompose
 
-        def strict(class_id, perm):
+        def strict(spec, perm):
             if perm == (1, 4, 3, 2):
                 raise NotInClassError("nope")
-            return real(class_id, perm)
+            return real(spec, perm)
 
-        monkeypatch.setattr(verify, "decompose", strict)
+        monkeypatch.setattr(verify, "_decompose", strict)
 
     def test_catches_decompose_rejecting_a_member(self, monkeypatch):
         self.reject_1432(monkeypatch)
