@@ -59,7 +59,7 @@ COUNT_MAX_N = 10_000
 # --identity hockey-stick 44 s at 1000.
 FORMULA_MAX_N = 200
 # argparse's option parsing is quadratic in the number of argv tokens; the
-# longest valid command line (verify with every option) has 16
+# longest valid command line (verify with every option) has 14
 ARGV_MAX = 64
 # unrecognized arguments shown in a usage error
 _SHOWN_WORDS = 8
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", metavar="PATH",
         help="write a markdown report here plus a .json twin",
     )
-    p_verify.add_argument("--jobs", type=_positive_int, default=1)
     p_verify.add_argument(
         "--stamp", action="store_true",
         help="include a UTC timestamp in the report (off by default so "
@@ -401,7 +400,6 @@ def cmd_verify(args) -> int:
         n_max=args.n_max,
         m_max=args.m_max,
         variants=variants,
-        jobs=args.jobs,
     )
     stamp = (
         datetime.now(timezone.utc).isoformat(timespec="seconds")

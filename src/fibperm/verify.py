@@ -20,7 +20,6 @@ builder of the unresolved and registry-problem lines.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
@@ -201,18 +200,20 @@ def _bounds(identity_id, class_id, variant, n_max, m_max) -> SimpleNamespace:
 
 
 def _counts_cases(class_id, variant, b) -> Iterator[Case]:
-    for n in range(1, b.n_gen + 1):
+    # members are built only where the brute-force filter can check them;
+    # past that, the cached G_n oracle counts them without building any
+    for n in range(1, b.n_brute + 1):
         members = generate(class_id, n)
-        yield (
-            {"n": n},
-            len(members),
-            count(class_id, n),
-            "closed-form count disagrees with the structural generator",
+        yield {"n": n}, len(members), count(class_id, n), (
+            "closed-form count disagrees with the structural generator"
         )
-        if n <= b.n_brute:
-            yield {"n": n}, brute_force_av(n, patterns_of(class_id)), members, (
-                "structural generator disagrees with the brute-force filter"
-            )
+        yield {"n": n}, brute_force_av(n, patterns_of(class_id)), members, (
+            "structural generator disagrees with the brute-force filter"
+        )
+    for n in range(b.n_brute + 1, b.n_gen + 1):
+        yield {"n": n}, genfun_oracle(class_id, n).evaluate(1, 1), count(class_id, n), (
+            "closed-form count disagrees with G_n(1, 1)"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -443,7 +444,8 @@ FAMILIES: tuple[IdentityFamily, ...] = (
     IdentityFamily(
         "counts", "member count F(n+1) - 1", True, _counts_cases,
         "1 <= n <= {n_gen}",
-        "count == |generate| throughout; brute-force cross-check to n = {n_brute}",
+        "count == members enumerated: |generate| to n = {n_brute}, G_n(1, 1) past it; "
+        "brute-force cross-check to n = {n_brute}",
     ),
     IdentityFamily(
         "a_n-recurrence", "a_n = a_{n-1} + a_{n-2} + 1", False, _an_recurrence_cases,
@@ -564,13 +566,6 @@ def check_identity(
     )
 
 
-def _run_unit(spec: tuple) -> IdentityReport:
-    identity_id, class_id, variant, n_max, m_max = spec
-    return check_identity(
-        identity_id, variant, n_max=n_max, m_max=m_max, class_id=class_id
-    )
-
-
 @dataclass(frozen=True)
 class VerificationResult:
     """All reports of one run plus the run's parameters."""
@@ -616,11 +611,11 @@ def run_verification(
     n_max: int = 9,
     m_max: Optional[int] = None,
     variants: tuple[str, ...] = VARIANTS,
-    jobs: int = 1,
 ) -> VerificationResult:
-    """Evaluate the named identities (all 13 when None) over both variants,
-    in at most ``jobs`` worker processes (never more than units or CPUs).
-    Reports come out in ``FAMILIES`` order, each identity once."""
+    """Evaluate the named identities (all 13 when None) under the given
+    variants, one unit after another in this process, so that every unit
+    shares the oracles' caches.  Reports come out in ``FAMILIES`` order,
+    each identity once."""
     if identity_ids is not None and not identity_ids:
         raise DomainError("no identity to check; pass None for all of them")
     for identity_id in identity_ids or ():
@@ -631,23 +626,12 @@ def run_verification(
     for variant in requested:
         check_variant(variant)
     ordered_variants = tuple(v for v in VARIANTS if v in requested)
-    specs = [
-        (family.identity_id, class_id, variant, n_max, m_max)
+    reports = tuple(
+        check_identity(family.identity_id, variant, n_max=n_max, m_max=m_max, class_id=class_id)
         for family in families
         for class_id in (CLASS_IDS if family.per_class else (None,))
         for variant in ordered_variants
-    ]
-    # the pool starts all its workers up front, so it gets no more of them
-    # than there are units or CPUs to keep busy
-    workers = min(jobs, len(specs), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: it costs a noticeable share of the CLI's start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = tuple(pool.map(_run_unit, specs))
-    else:
-        reports = tuple(_run_unit(spec) for spec in specs)
+    )
     return VerificationResult(
         n_max=n_max, m_max=m_max, variants=ordered_variants, reports=reports
     )

@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import dataclasses
 import json
 import re
@@ -15,6 +14,7 @@ from fibperm.classes import CLASS_IDS, CLASS_SPECS
 from fibperm.cli import main
 from fibperm.errors import DomainError, NotInClassError
 from fibperm.fib import fib_stat
+from fibperm.perms import BRUTE_FORCE_MAX_N
 from fibperm.stats import binomial, inv_distribution_formula, joint_distribution_formula
 from fibperm.verify import (
     CORRECTIONS,
@@ -148,6 +148,36 @@ class TestCheckIdentity:
     def test_variant_validation(self):
         with pytest.raises(ValueError):
             check_identity("eq1", "folk")
+
+
+class TestCounts:
+    def test_generate_runs_only_in_the_brute_force_range(self, monkeypatch):
+        # past it, the cached G_n oracle counts the members without building them
+        lengths = []
+        real = verify.generate
+
+        def recording(class_id, n):
+            lengths.append(n)
+            return real(class_id, n)
+
+        monkeypatch.setattr(verify, "generate", recording)
+        report = check_identity("counts", "corrected", n_max=20, class_id="B1")
+        assert report.status == "pass"
+        assert lengths == list(range(1, BRUTE_FORCE_MAX_N + 1))
+        assert report.notes == (
+            "count == members enumerated: |generate| to n = 13, G_n(1, 1) past it; "
+            "brute-force cross-check to n = 13"
+        )
+
+    def test_a_wrong_count_past_the_brute_force_range_fails(self, monkeypatch):
+        real = verify.count
+        monkeypatch.setattr(verify, "count", lambda class_id, n: real(class_id, n) + (n == 20))
+        report = check_identity("counts", "corrected", n_max=20, class_id="A2")
+        assert report.status == "fail"
+        assert report.first_mismatch == {
+            "parameters": {"n": 20}, "lhs": real("A2", 20), "rhs": real("A2", 20) + 1,
+        }
+        assert report.notes == "closed-form count disagrees with G_n(1, 1)"
 
 
 class TestHockeyStick:
@@ -431,46 +461,6 @@ class TestFullRun:
         assert full_run.unresolved_units() == []
         assert full_run.registry_problems() == []
 
-    def test_parallel_run_is_identical(self, full_run):
-        parallel = run_verification(None, n_max=7, jobs=2)
-        assert parallel.reports == full_run.reports
-
-    @pytest.mark.parametrize(
-        "identity_ids, jobs, cpus, pool_sizes",
-        [
-            (["eq1"], 100_000, 8, [2]),  # two units
-            (["eq1", "a_n-recurrence"], 100_000, 3, [3]),  # three CPUs
-            (["eq1"], 100_000, 1, []),  # one CPU: no pool
-            (["eq1"], 100_000, None, []),  # CPU count unknown: no pool
-            (["eq1"], 1, 8, []),  # --jobs 1: no pool
-        ],
-    )
-    def test_pool_is_bounded_by_units_and_cpus(
-        self, monkeypatch, identity_ids, jobs, cpus, pool_sizes
-    ):
-        # the stub records the pool size and maps serially, so no process
-        # is started whatever --jobs asks for
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        result = run_verification(identity_ids, n_max=3, jobs=jobs)
-        assert sizes == pool_sizes
-        assert result == run_verification(identity_ids, n_max=3)
-
     def test_reports_follow_family_order_once_each(self):
         result = run_verification(["eq1", "a_n-recurrence", "eq1"], n_max=3)
         assert [(r.identity_id, r.variant) for r in result.reports] == [
@@ -497,15 +487,15 @@ class TestFullRun:
         ],
     )
     def test_empty_lists_and_bounds_below_1_are_refused(self, monkeypatch, kwargs, message):
-        # refused before a pool starts: no unit at all, or enumerated ranges
+        # refused before any unit runs: no unit at all, or enumerated ranges
         # such as 1 <= n <= 0, would report resolved; m_max < 1 as in the CLI
-        def no_pool(max_workers):
-            raise AssertionError("a pool was started")
+        def no_unit(*args, **kwargs):
+            raise AssertionError("a unit ran")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(verify, "check_identity", no_unit)
         pattern = "^" + re.escape(message) + "$"
         with pytest.raises(DomainError, match=pattern):
-            run_verification(**kwargs, jobs=2)
+            run_verification(**kwargs)
         if "identity_ids" not in kwargs:
             with pytest.raises(DomainError, match=pattern):
                 check_identity("eq1", "corrected", **kwargs)
