@@ -33,7 +33,6 @@ from .fib import (
     _fibonacci_products,
     _flatten,
     fib_number,
-    fib_permutations,
     fib_stat,
     is_fibonacci,
 )
@@ -174,22 +173,38 @@ class Decomposition:
 
 def generate(class_id: str, n: int) -> list[Perm]:
     """All members of length n, lexicographically: the Fibonacci
-    permutations, which belong to every class, then the head members, the
-    head products flattened.
+    permutations, which belong to every class, and the head members, both
+    as the middle cut's products, flattened.
 
     >>> [" ".join(map(str, p)) for p in generate("B2", 3)]
     ['1 2 3', '1 3 2', '2 1 3', '2 3 1']
     >>> len(generate("A1", 4))
     7
     """
+    return _flatten(_member_products(class_id, n))
+
+
+def _member_products(class_id: str, n: int) -> list[Product]:
+    """Every member of length n as the middle cut's products, no left part
+    a prefix of another, so that sorting the left parts orders the members
+    lexicographically.  ``generate`` flattens these products and
+    ``cli.cmd_enumerate`` renders them.
+
+    For the B classes these are the Fibonacci products then the head
+    products: Fibonacci members start 1 or 2 1, B pre-parts 3, 4, ... or
+    2 3 1, 2 3 4 1, ...  An A head of length k+3 starts 1..k then its core,
+    so the Fibonacci members are cut after the run 1..k they start with: the
+    identity, then for each k <= n-2 the members whose run is exactly k,
+    which start 1..k, k+2, k+1.  Left parts of different groups then differ
+    at position k+1 or k+2.
+    """
     heads = _head_products(class_id, n)  # first: it validates class_id and n
-    # Fibonacci members start 1 or 2 1 and B pre-parts 3, 4, ... or 2 3 1,
-    # 2 3 4 1, ..., so only A heads past length 3, which start 1, need a sort
-    members = fib_permutations(n)
-    members += _flatten(heads)
-    if class_spec(class_id).kind == "A":
-        members.sort()
-    return members
+    if class_spec(class_id).kind == "B":
+        return _fibonacci_products((), 1, n) + heads
+    products: list[Product] = [([tuple(range(1, n + 1))], ((),))]
+    for k in range(n - 2, -1, -1):
+        products += _fibonacci_products(tuple(range(1, k + 1)) + (k + 2, k + 1), k + 3, n)
+    return products + heads
 
 
 def _head_products(class_id: str, n: int) -> list[Product]:
@@ -200,8 +215,8 @@ def _head_products(class_id: str, n: int) -> list[Product]:
     Every such head contains 231, 312 or 321, so no Fibonacci permutation is
     among them.  Each left part starts with its head, and two heads differ
     within the shorter one, so no left part is a prefix of another.
-    ``generate`` flattens these products and ``genfun.genfun_oracle`` folds
-    them.
+    ``_member_products`` lists them after the Fibonacci products and
+    ``genfun.genfun_oracle`` folds them.
     """
     spec = class_spec(class_id)
     if n < 0:

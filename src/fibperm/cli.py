@@ -5,9 +5,10 @@ subcommand takes ``--format text|json`` and prints through ``_emit``, the
 one place that reads it; output is byte-deterministic (``verify --stamp``
 is the one opt-in exception).  All JSON, on stdout and in the ``verify
 --report`` twin, is ``json.dumps(payload, indent=2)``.  ``enumerate``
-renders its member rows from one table of value strings and prints them in
-blocks of ``_BLOCK`` members, in both formats; its JSON stays byte for byte
-what ``json.dumps`` writes.
+renders its member rows straight from the middle cut's products, each left
+part and each block of right parts once, without building a member, and
+prints them in blocks of ``_BLOCK`` members, in both formats; its JSON stays
+byte for byte what ``json.dumps`` writes.
 
 Exit codes (``_EXIT_CODES``, applied by ``main`` alone to what a subcommand
 raises): 0 success, 1 verification failure, 2 usage error, 3 size cap
@@ -28,12 +29,12 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
-from .classes import CLASS_IDS, GENERATE_MAX_N, count, generate
+from .classes import CLASS_IDS, GENERATE_MAX_N, _member_products, count
 from .bijections import bijection_domain, tiling_bijection
 from .errors import DomainError, SizeLimitError, shorten
-from .fib import fib_number, parse_tiling
+from .fib import Product, _left_parts, fib_number, parse_tiling
 from .genfun import genfun_closed, genfun_oracle, genfun_recurrence
-from .perms import format_permutation, parse_permutation
+from .perms import Perm, format_permutation, parse_permutation
 from .stats import STATS, VARIANTS, distribution_formula, distribution_oracle
 from .verify import (
     IDENTITY_IDS,
@@ -133,30 +134,45 @@ _VALUE_STRINGS = tuple(map(str, range(GENERATE_MAX_N + 1)))
 _BLOCK = 4096
 
 
-def _member_blocks(
-    members: Sequence[Sequence[int]], sep: str, between: str = "\n"
-) -> Iterator[str]:
-    """The rows of ``members``, each its values as decimal strings joined by
-    ``sep``, joined by ``between`` in strings of ``_BLOCK`` rows.  ``between``
-    starts with a newline, so printing the strings one per line joins every
-    row by it."""
+def _member_blocks(products: list[Product], sep: str, between: str = "\n") -> Iterator[str]:
+    """The rows of the members ``products`` hold, lexicographically, each
+    its values as decimal strings joined by ``sep``, joined by ``between``
+    in strings of ``_BLOCK`` rows.  ``between`` starts with a newline, so
+    printing the strings one per line joins every row by it.
+
+    Each row is its left part's string then its right part's.  A left part
+    is rendered once; a block of right parts once per call, in ``rendered``,
+    which holds the block as well, so that no other object takes its id
+    while the call lasts."""
     table = _VALUE_STRINGS
-    for start in range(0, len(members), _BLOCK):
-        block = members[start:start + _BLOCK]
-        rows = between.join([sep.join([table[v] for v in p]) for p in block])
-        yield f"{between[1:]}{rows}" if start else rows
+    rendered: dict[int, tuple[Sequence[Perm], list[str]]] = {}
+    rows: list[str] = []
+    lead = ""
+    for a, rights in _left_parts(products):
+        entry = rendered.get(id(rights))
+        if entry is None:
+            strings = ["".join([sep + table[v] for v in b]) for b in rights]
+            entry = rendered[id(rights)] = (rights, strings)
+        left = sep.join([table[v] for v in a])
+        rows += [left + b for b in entry[1]]
+        while len(rows) >= _BLOCK:
+            yield lead + between.join(rows[:_BLOCK])
+            del rows[:_BLOCK]
+            lead = between[1:]
+    if rows:
+        yield lead + between.join(rows)
 
 
-def _emit_json(payload: dict, members: Optional[Sequence[Sequence[int]]] = None) -> None:
-    """Print ``json.dumps(payload, indent=2)``, with ``members`` as its last
-    key if given.  Non-empty members are printed as blocks of rows, byte for
-    byte as ``json.dumps`` writes them, so no one string holds them all."""
-    if not (members and members[0]):
-        print(json.dumps(payload if members is None else {**payload, "members": members},
-                         indent=2))
+def _emit_json(payload: dict, products: Optional[list[Product]] = None) -> None:
+    """Print ``json.dumps(payload, indent=2)``, with the members ``products``
+    hold as its last key if given.  Those are printed as blocks of rows, byte
+    for byte as ``json.dumps`` writes them, so no one string holds them all;
+    each member must be non-empty."""
+    if products is None:
+        print(json.dumps(payload, indent=2))
         return
     print(json.dumps(payload, indent=2)[:-2] + ',\n  "members": [\n    [\n      ', end="")
-    for block in _member_blocks(members, ",\n      ", "\n    ],\n    [\n      "):
+    for block in _member_blocks(products, ",\n      ", "\n    ],\n    [\n      "):
         print(block)
     print("    ]\n  ]\n}")
 
@@ -278,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text: Callable[[], Iterable], members=None) -> None:
-    """Print ``payload`` (and ``enumerate``'s ``members``) through ``_emit_json``
+def _emit(args, payload: dict, text: Callable[[], Iterable], products=None) -> None:
+    """Print ``payload`` (and ``enumerate``'s ``products``) through ``_emit_json``
     under ``--format json``, else each string of ``text()``, one or more lines,
     with a newline after it.  Both print with the digit limit lifted, so exact
     big integers print in full."""
     with _exact_int_output():
         if args.format == "json":
-            _emit_json(payload, members)
+            _emit_json(payload, products)
         else:
             for line in text():
                 print(line)
@@ -304,9 +320,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    members = generate(args.class_id, args.n)
+    products = _member_products(args.class_id, args.n)
     payload = {"class": args.class_id, "n": args.n}
-    _emit(args, payload, lambda: _member_blocks(members, " "), members)
+    if args.n:
+        _emit(args, payload, lambda: _member_blocks(products, " "), products)
+    else:  # the one member is empty: a blank line, or [] in json.dumps' layout
+        _emit(args, {**payload, "members": [[]]}, lambda: [""])
     return 0
 
 

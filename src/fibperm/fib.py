@@ -162,14 +162,20 @@ def _fibonacci_block(lo: int, hi: int) -> tuple[Perm, ...]:
     return tuple(_fibonacci((), lo, hi))
 
 
-def _flatten(products: Iterable[Product]) -> list[Perm]:
-    # Each left part followed by each of its right parts.  When no left part
-    # is a prefix of another, sorting the left parts orders the members
+def _left_parts(products: Iterable[Product]) -> list[tuple[Perm, Sequence[Perm]]]:
+    # Each left part with its right parts, the left parts sorted.  When no
+    # left part is a prefix of another, this orders the members
     # lexicographically; the middle cut's left parts differ by position mid
     # at the latest.
     lefts = [(a, rights) for lefts, rights in products for a in lefts]
     lefts.sort(key=itemgetter(0))
-    return [a + b for a, rights in lefts for b in rights]
+    return lefts
+
+
+def _flatten(products: Iterable[Product]) -> list[Perm]:
+    # Each left part followed by each of its right parts, lexicographically
+    # when no left part is a prefix of another.
+    return [a + b for a, rights in _left_parts(products) for b in rights]
 
 
 def fib_permutations(n: int) -> list[Perm]:

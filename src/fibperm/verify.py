@@ -20,7 +20,7 @@ builder of the unresolved and registry-problem lines.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import comb
 from types import SimpleNamespace
@@ -428,7 +428,11 @@ def _fib_inv_cases(class_id, variant, b) -> Iterator[Case]:
 @dataclass(frozen=True)
 class IdentityFamily:
     """One identity family.  ``parameter_range`` and ``pass_note`` are
-    format strings over the run's bounds (see ``_bounds``)."""
+    format strings over the run's bounds (see ``_bounds``).  A
+    ``variant_blind`` family's cases never read the variant and no
+    correction is registered for it, so its bounds are the same under both
+    variants: ``run_verification`` evaluates each of its units once and
+    copies the report to the other variant."""
 
     identity_id: str
     title: str
@@ -436,6 +440,7 @@ class IdentityFamily:
     cases: Callable[[Optional[str], str, SimpleNamespace], Iterator[Case]]
     parameter_range: str
     pass_note: str
+    variant_blind: bool = False
 
 
 _DIST_NOTE = "closed form disagrees with enumeration"
@@ -446,11 +451,13 @@ FAMILIES: tuple[IdentityFamily, ...] = (
         "1 <= n <= {n_gen}",
         "count == members enumerated: |generate| to n = {n_brute}, G_n(1, 1) past it; "
         "brute-force cross-check to n = {n_brute}",
+        variant_blind=True,
     ),
     IdentityFamily(
         "a_n-recurrence", "a_n = a_{n-1} + a_{n-2} + 1", False, _an_recurrence_cases,
         "3 <= n <= {n_scalar}",
         "a_n = a_{{n-1}} + a_{{n-2}} + 1 with a_n = F(n+1) - 1",
+        variant_blind=True,
     ),
     IdentityFamily(
         "eq1", "sum of F(k) telescopes to F(n+2) - 1", False, _eq1_cases,
@@ -461,12 +468,14 @@ FAMILIES: tuple[IdentityFamily, ...] = (
         "hockey-stick", "binomial column sums", False, _hockey_stick_cases,
         "0 <= r <= n <= {n_scalar}",
         "column sums collapse; A-type summation and closed forms agree",
+        variant_blind=True,
     ),
     IdentityFamily(
         "fib-inv", "inversions over Fibonacci permutations are C(n-k, k)", False,
         _fib_inv_cases,
         "0 <= n <= {n_scalar}; enumeration to n = {n_fib_enum}",
         "C(n-k, k) matches both the recurrence and enumeration",
+        variant_blind=True,
     ),
     IdentityFamily(
         "inv-dist", "inversion distribution closed form", True,
@@ -506,12 +515,14 @@ FAMILIES: tuple[IdentityFamily, ...] = (
         "bijection-image", "tiling bijection image", True, _bijection_cases,
         "1 <= n <= {n_bij}",
         "{bijection} bijects members with the (n+1)-cell words minus one excluded word",
+        variant_blind=True,
     ),
     IdentityFamily(
         "structure-oracle", "shape parse vs pattern membership", True,
         _structure_cases,
         "0 <= n <= {n_brute}",
         "membership by patterns == membership by shape; all members round-trip",
+        variant_blind=True,
     ),
 )
 
@@ -605,6 +616,17 @@ class VerificationResult:
         return not self.unresolved_units() and not self.registry_problems()
 
 
+def _unit_reports(family, class_id, variants, n_max, m_max) -> list[IdentityReport]:
+    """One unit's reports, one per variant; a variant-blind unit is
+    evaluated under the first variant alone."""
+    evaluated = variants[:1] if family.variant_blind else variants
+    reports = [
+        check_identity(family.identity_id, variant, n_max=n_max, m_max=m_max, class_id=class_id)
+        for variant in evaluated
+    ]
+    return reports + [replace(reports[0], variant=v) for v in variants[len(evaluated):]]
+
+
 def run_verification(
     identity_ids: Optional[list[str]] = None,
     *,
@@ -614,8 +636,9 @@ def run_verification(
 ) -> VerificationResult:
     """Evaluate the named identities (all 13 when None) under the given
     variants, one unit after another in this process, so that every unit
-    shares the oracles' caches.  Reports come out in ``FAMILIES`` order,
-    each identity once."""
+    shares the oracles' caches; a variant-blind unit is evaluated once and
+    its report copied to the other variant.  Reports come out in
+    ``FAMILIES`` order, each identity once."""
     if identity_ids is not None and not identity_ids:
         raise DomainError("no identity to check; pass None for all of them")
     for identity_id in identity_ids or ():
@@ -627,10 +650,10 @@ def run_verification(
         check_variant(variant)
     ordered_variants = tuple(v for v in VARIANTS if v in requested)
     reports = tuple(
-        check_identity(family.identity_id, variant, n_max=n_max, m_max=m_max, class_id=class_id)
+        report
         for family in families
         for class_id in (CLASS_IDS if family.per_class else (None,))
-        for variant in ordered_variants
+        for report in _unit_reports(family, class_id, ordered_variants, n_max, m_max)
     )
     return VerificationResult(
         n_max=n_max, m_max=m_max, variants=ordered_variants, reports=reports

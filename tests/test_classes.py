@@ -9,6 +9,7 @@ from fibperm.classes import (
     CLASS_IDS,
     CLASS_SPECS,
     Decomposition,
+    _member_products,
     compose,
     count,
     decompose,
@@ -102,12 +103,21 @@ class TestGenerate:
                 assert len(generate(cls, n)) == count(cls, n)
 
     def test_sorted_and_distinct(self):
-        # only the A classes are sorted; the B classes come out in order as
-        # built, so check every length up to n = 20
+        # no list is sorted as a whole: one sort of the left parts orders
+        # every member, so check every length up to n = 22
         for cls in CLASS_IDS:
-            for n in range(0, 21):
+            for n in range(0, 23):
                 members = generate(cls, n)
-                assert members == sorted(set(members)), (cls, n)
+                assert all(a < b for a, b in zip(members, members[1:])), (cls, n)
+
+    def test_member_products_left_parts_are_prefix_free(self):
+        # if a left part is a prefix of another, or equals it, it is a
+        # prefix of the next one in sorted order, so adjacent pairs suffice
+        for cls in CLASS_IDS:
+            for n in range(0, 23):
+                lefts = sorted(a for lefts, _ in _member_products(cls, n) for a in lefts)
+                for a, b in zip(lefts, lefts[1:]):
+                    assert b[:len(a)] != a, (cls, n, a, b)
 
     def test_matches_brute_force(self):
         for cls in CLASS_IDS:

@@ -15,12 +15,19 @@ from hypothesis import strategies as st
 
 from fibperm import cli
 from fibperm.bijections import phi
-from fibperm.classes import CLASS_IDS, GENERATE_MAX_N, check_class_id, class_spec, generate
+from fibperm.classes import (
+    CLASS_IDS,
+    GENERATE_MAX_N,
+    check_class_id,
+    class_spec,
+    generate,
+    patterns_of,
+)
 from fibperm.cli import ARGV_MAX, COUNT_MAX_N, FIB_MAX_N, FORMULA_MAX_N, main
 from fibperm.errors import DomainError
 from fibperm.fib import fib_number, tiling_cells
 from fibperm.genfun import Poly
-from fibperm.perms import format_permutation
+from fibperm.perms import brute_force_av, format_permutation
 from fibperm.stats import STATS, VARIANTS, check_stat, check_variant
 from fibperm.verify import IDENTITY_IDS, check_identity
 
@@ -171,6 +178,56 @@ def test_enumerate_past_one_text_block(capsys):
     assert main(["enumerate", "--class", "A1", "--n", "20", "--format", "json"]) == 0
     payload = {"class": "A1", "n": 20, "members": members}
     assert_same_output(capsys.readouterr().out, json.dumps(payload, indent=2) + "\n")
+
+
+def test_enumerate_equals_the_sorted_pattern_avoiders(capsys):
+    # the rows as the pattern oracle gives them, sorted here, written with
+    # format_permutation and json.dumps: nothing shared with the renderer
+    for class_id in CLASS_IDS:
+        for n in range(10):
+            members = sorted(brute_force_av(n, patterns_of(class_id)))
+            assert main(["enumerate", "--class", class_id, "--n", str(n)]) == 0
+            want = "".join(format_permutation(p) + "\n" for p in members)
+            assert_same_output(capsys.readouterr().out, want)
+            assert main(["enumerate", "--class", class_id, "--n", str(n),
+                         "--format", "json"]) == 0
+            payload = {"class": class_id, "n": n, "members": members}
+            assert_same_output(capsys.readouterr().out, json.dumps(payload, indent=2) + "\n")
+
+
+# Start a command, its stdout to a file, and print its exit code and the
+# peak RSS that os.wait4 reports for it.  Linux counts in a child's peak the
+# memory it held before exec, which for a child forked from pytest is
+# pytest's own, so this small interpreter starts the command.
+_PEAK_RSS = """
+import os, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    proc = subprocess.Popen(sys.argv[2:], stdout=out)
+    _, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's peak RSS")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_at_the_cap_stays_small(fmt, tmp_path):
+    # the rows are rendered from the middle cut's products, so the largest
+    # enumerate never holds its 196,417 members; the list alone took 100 MiB
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out_path = tmp_path / "out"
+    argv = [sys.executable, "-m", "fibperm.cli", "enumerate", "--class", "A1",
+            "--n", str(GENERATE_MAX_N), "--format", fmt]
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(out_path), *argv],
+                            capture_output=True, env=env, check=True)
+    code, peak = map(int, result.stdout.split())
+    assert code == 0
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak_mib = peak / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mib < 40, peak_mib
+    # a text row is a line; a JSON row opens with the line "    ["
+    with open(out_path, "rb") as lines:
+        rows = sum(1 for line in lines if fmt == "text" or line == b"    [\n")
+    assert rows == fib_number(GENERATE_MAX_N + 1) - 1
 
 
 @pytest.mark.parametrize("block", [1, 3])

@@ -501,6 +501,58 @@ class TestFullRun:
                 check_identity("eq1", "corrected", **kwargs)
 
 
+class TestVariantBlind:
+    FAMILIES = [f for f in verify.FAMILIES if f.variant_blind]
+
+    def test_the_blind_families(self):
+        assert [f.identity_id for f in self.FAMILIES] == [
+            "counts", "a_n-recurrence", "hockey-stick", "fib-inv",
+            "bijection-image", "structure-oracle",
+        ]
+
+    def test_each_unit_reports_the_same_under_both_variants(self):
+        # no correction, so the same bounds; and the same report, but for
+        # its variant, when each variant is evaluated
+        for family in self.FAMILIES:
+            identity_id = family.identity_id
+            assert not [c for c in CORRECTIONS if c.identity_id == identity_id]
+            for class_id in CLASS_IDS if family.per_class else (None,):
+                bounds = [verify._bounds(identity_id, class_id, variant, 9, None)
+                          for variant in ("paper", "corrected")]
+                assert bounds[0] == bounds[1], (identity_id, class_id)
+                paper, corrected = (
+                    check_identity(identity_id, variant, n_max=6, class_id=class_id)
+                    for variant in ("paper", "corrected")
+                )
+                assert dataclasses.replace(paper, variant="corrected") == corrected
+
+    @pytest.mark.parametrize("variants", [("paper", "corrected"), ("corrected",)])
+    def test_run_evaluates_a_blind_unit_once(self, variants, monkeypatch):
+        evaluated = Counter()
+        real = verify.check_identity
+
+        def counting(identity_id, variant, **kwargs):
+            evaluated[identity_id, kwargs["class_id"], variant] += 1
+            return real(identity_id, variant, **kwargs)
+
+        monkeypatch.setattr(verify, "check_identity", counting)
+        result = run_verification(["eq1", "bijection-image"], n_max=5, variants=variants)
+        first = variants[0]
+        assert evaluated == Counter(
+            [("eq1", None, v) for v in variants]
+            + [("bijection-image", c, first) for c in CLASS_IDS]
+        )
+        assert [(r.identity_id, r.class_id, r.variant) for r in result.reports] == [
+            (identity_id, class_id, variant)
+            for identity_id, class_ids in (("eq1", (None,)), ("bijection-image", CLASS_IDS))
+            for class_id in class_ids
+            for variant in variants
+        ]
+        for report in result.reports:
+            assert report == real(report.identity_id, report.variant, n_max=5,
+                                  class_id=report.class_id)
+
+
 class TestRegistry:
     def test_every_entry_names_a_known_identity(self):
         per_class = {f.identity_id: f.per_class for f in verify.FAMILIES}
