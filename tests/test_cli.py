@@ -218,7 +218,7 @@ def test_enumerate_at_the_cap_stays_small(fmt, tmp_path):
     argv = [sys.executable, "-m", "fibperm.cli", "enumerate", "--class", "A1",
             "--n", str(GENERATE_MAX_N), "--format", fmt]
     result = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(out_path), *argv],
-                            capture_output=True, env=env, check=True)
+                            capture_output=True, env=env, check=True, timeout=120)
     code, peak = map(int, result.stdout.split())
     assert code == 0
     # ru_maxrss is in KiB on Linux and in bytes on macOS
