@@ -7,8 +7,8 @@ is the one opt-in exception).  All JSON, on stdout and in the ``verify
 --report`` twin, is ``json.dumps(payload, indent=2)``.  ``enumerate``
 renders its member rows straight from the middle cut's products, each left
 part and each block of right parts once, without building a member, and
-prints them in blocks of ``_BLOCK`` members, in both formats; its JSON stays
-byte for byte what ``json.dumps`` writes.
+prints them in blocks of at least ``_BLOCK`` members, in both formats; its
+JSON stays byte for byte what ``json.dumps`` writes.
 
 Exit codes (``_EXIT_CODES``, applied by ``main`` alone to what a subcommand
 raises): 0 success, 1 verification failure, 2 usage error, 3 size cap
@@ -130,23 +130,26 @@ def _nonneg_int(text: str) -> int:
 
 # the decimal string of every value a generated member can hold
 _VALUE_STRINGS = tuple(map(str, range(GENERATE_MAX_N + 1)))
-# enumerate: members per print, so no one string holds the whole list
+# enumerate: a print holds at least this many members, plus at most one left
+# part's rows, so no one string holds the whole list
 _BLOCK = 4096
 
 
 def _member_blocks(products: list[Product], sep: str, between: str = "\n") -> Iterator[str]:
     """The rows of the members ``products`` hold, lexicographically, each
     its values as decimal strings joined by ``sep``, joined by ``between``
-    in strings of ``_BLOCK`` rows.  ``between`` starts with a newline, so
-    printing the strings one per line joins every row by it.
+    in strings of whole left parts' rows, each string ending at the first
+    left part that brings it to ``_BLOCK`` rows.  ``between`` starts with a
+    newline, so printing the strings one per line joins every row by it.
 
-    Each row is its left part's string then its right part's.  A left part
-    is rendered once; a block of right parts once per call, in ``rendered``,
-    which holds the block as well, so that no other object takes its id
-    while the call lasts."""
+    Each row is its left part's string then its right part's, and a left
+    part's rows are one join.  A left part is rendered once; a block of
+    right parts once per call, in ``rendered``, which holds the block as
+    well, so that no other object takes its id while the call lasts."""
     table = _VALUE_STRINGS
     rendered: dict[int, tuple[Sequence[Perm], list[str]]] = {}
-    rows: list[str] = []
+    pieces: list[str] = []
+    size = 0
     lead = ""
     for a, rights in _left_parts(products):
         entry = rendered.get(id(rights))
@@ -154,13 +157,17 @@ def _member_blocks(products: list[Product], sep: str, between: str = "\n") -> It
             strings = ["".join([sep + table[v] for v in b]) for b in rights]
             entry = rendered[id(rights)] = (rights, strings)
         left = sep.join([table[v] for v in a])
-        rows += [left + b for b in entry[1]]
-        while len(rows) >= _BLOCK:
-            yield lead + between.join(rows[:_BLOCK])
-            del rows[:_BLOCK]
+        pieces += (between, left, (between + left).join(entry[1]))
+        size += len(rights)
+        if size >= _BLOCK:
+            pieces[0] = lead
+            yield "".join(pieces)
+            pieces.clear()
+            size = 0
             lead = between[1:]
-    if rows:
-        yield lead + between.join(rows)
+    if pieces:
+        pieces[0] = lead
+        yield "".join(pieces)
 
 
 def _emit_json(payload: dict, products: Optional[list[Product]] = None) -> None:

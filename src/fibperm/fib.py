@@ -138,16 +138,18 @@ def _fibonacci_products(prefix: Perm, lo: int, hi: int) -> list[Product]:
     blocks below the cut, followed by a Fibonacci right part of the values
     above it: the left parts on lo..mid with the right parts on mid+1..hi,
     and the left parts ending in (mid+1, mid) with the right parts on
-    mid+2..hi.  The right parts depend on the value range alone, so they
-    come from ``_fibonacci_block``, one shared tuple per range; the left
-    parts are fresh lists.
+    mid+2..hi.  Below the prefix and the domino, both parts are Fibonacci
+    permutations of one value range, so both come from
+    ``_fibonacci_block``, one shared tuple per range: the right parts as
+    they are, the left parts as fresh lists of *prefix*, a block's
+    permutation and the domino if it crosses.
     """
     if lo >= hi:
         return [([prefix + tuple(range(lo, hi + 1))], ((),))]
     mid = (lo + hi) // 2
     return [
-        (_fibonacci(prefix, lo, mid), _fibonacci_block(mid + 1, hi)),
-        ([a + (mid + 1, mid) for a in _fibonacci(prefix, lo, mid - 1)],
+        ([prefix + a for a in _fibonacci_block(lo, mid)], _fibonacci_block(mid + 1, hi)),
+        ([prefix + a + (mid + 1, mid) for a in _fibonacci_block(lo, mid - 1)],
          _fibonacci_block(mid + 2, hi)),
     ]
 
@@ -155,10 +157,13 @@ def _fibonacci_products(prefix: Perm, lo: int, hi: int) -> list[Product]:
 @lru_cache(maxsize=None)
 def _fibonacci_block(lo: int, hi: int) -> tuple[Perm, ...]:
     # The Fibonacci permutations of the values lo..hi, built once per
-    # process.  Only right parts are blocks, and those lie above a middle
-    # cut, so a block holds at most half of a range's values (F(13) = 377
-    # tuples at n = 26); the top-level ranges of fib_permutations and
-    # generate are never cached and come back as fresh lists.
+    # process.  Blocks are the left and right parts' ranges, the sides of
+    # middle cuts below a range inside 1..27, so the cache holds at most
+    # 280 of them (28 empty), fewer than the 378 ranges inside 1..27.  Up
+    # to n = 26 each is at most 13 values, F(13) = 377 tuples;
+    # fib_permutations(27) adds the left block 1..14.  The top-level ranges
+    # of fib_permutations and generate are never cached and come back as
+    # fresh lists.
     return tuple(_fibonacci((), lo, hi))
 
 

@@ -230,12 +230,14 @@ def test_enumerate_at_the_cap_stays_small(fmt, tmp_path):
     assert rows == fib_number(GENERATE_MAX_N + 1) - 1
 
 
-@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("block", [1, 3, 5])
 def test_enumerate_block_seams(block, monkeypatch, capsys):
-    # every row is a block, or a block ends mid-list and one ends short
+    # every row is a block, or a block ends mid-list and one ends short; a
+    # print ends with the left part whose rows fill it, which with 5 rows
+    # and n = 10 ... 12 is often one with more right parts than a whole block
     monkeypatch.setattr(cli, "_BLOCK", block)
     for class_id in CLASS_IDS:
-        for n in range(9):
+        for n in range(13 if block == 5 else 9):
             members = generate(class_id, n)
             assert main(["enumerate", "--class", class_id, "--n", str(n)]) == 0
             want = "".join(format_permutation(p) + "\n" for p in members)

@@ -1,11 +1,13 @@
+import sys
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibperm import fib
-from fibperm.classes import CLASS_IDS, CLASS_SPECS, generate
+from fibperm import fib, genfun
+from fibperm.classes import CLASS_IDS, CLASS_SPECS, GENERATE_MAX_N, generate
+from fibperm.cli import main
 from fibperm.errors import DomainError, SizeLimitError
 from fibperm.fib import (
     FIBONACCI_PATTERNS,
@@ -20,6 +22,7 @@ from fibperm.fib import (
     tiling_to_perm,
     tilings,
 )
+from fibperm.genfun import genfun_oracle
 from helpers import (
     naive_avoids_all,
     naive_fib_number,
@@ -138,12 +141,15 @@ class TestTilingPermCorrespondence:
                     assert extend_fibonacci([], head, n) == expected, (spec.class_id, n, length)
 
     def test_products_flatten_to_decoded_words(self):
-        # the middle cut's products for every head a class has and for the
-        # empty one, flattened here without fib's sort: each left part of a
-        # product followed by each of its right parts, each member once
-        for n in range(17):
+        # the middle cut's products for every head a class has, for the
+        # empty one and for each run 1..k then the domino (k+2, k+1) that the
+        # A classes cut their Fibonacci members after, flattened here without
+        # fib's sort: each left part of a product followed by each of its
+        # right parts, each member once
+        for n in range(21):
             heads = {()} | {spec.head(length) for spec in CLASS_SPECS.values()
                             for length in range(3 if spec.kind == "A" else 1, n + 1)}
+            heads |= {tuple(range(1, k + 1)) + (k + 2, k + 1) for k in range(n - 1)}
             for head in heads:
                 expected = [head + tuple(v + len(head) for v in tiling_to_perm(w))
                             for w in tilings(n - len(head))]
@@ -183,3 +189,41 @@ class TestFibStat:
     @given(permutations_up_to(9))
     def test_matches_naive(self, perm):
         assert fib_stat(perm) == naive_fib_stat(perm)
+
+
+class _Discard:
+    # a stdout that keeps nothing, for outputs only their side effects matter in
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_block_cache_is_bounded(monkeypatch):
+    # every length enumerate (both formats) and the G_n oracle accept caches
+    # blocks of at most 13 values, the larger side of a middle cut of 1..26,
+    # and no more than the 378 ranges inside 1..27; generate flattens the
+    # products enumerate renders, so past n = 22, where its member lists
+    # grow large, enumerate stands for it
+    blocks = fib._fibonacci_block
+    blocks.cache_clear()
+    genfun_oracle.cache_clear()
+    genfun._fibonacci_fold.cache_clear()
+    ranges = set()
+
+    def spy(lo, hi):
+        ranges.add((lo, hi))
+        return blocks(lo, hi)
+
+    monkeypatch.setattr(fib, "_fibonacci_block", spy)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    for cls in CLASS_IDS:
+        for n in range(GENERATE_MAX_N + 1):
+            if n <= 22:
+                generate(cls, n)
+            genfun_oracle(cls, n)
+            for fmt in ("text", "json"):
+                assert main(["enumerate", "--class", cls, "--n", str(n), "--format", fmt]) == 0
+    assert blocks.cache_info().currsize == len(ranges) <= 378
+    assert max(hi - lo + 1 for lo, hi in ranges) <= 13
