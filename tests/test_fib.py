@@ -1,4 +1,5 @@
-import sys
+import contextlib
+import os
 from itertools import permutations
 
 import pytest
@@ -22,7 +23,6 @@ from fibperm.fib import (
     tiling_to_perm,
     tilings,
 )
-from fibperm.genfun import genfun_oracle
 from helpers import (
     naive_avoids_all,
     naive_fib_number,
@@ -191,24 +191,15 @@ class TestFibStat:
         assert fib_stat(perm) == naive_fib_stat(perm)
 
 
-class _Discard:
-    # a stdout that keeps nothing, for outputs only their side effects matter in
-    def write(self, text: str) -> int:
-        return len(text)
-
-    def flush(self) -> None:
-        pass
-
-
 def test_block_cache_is_bounded(monkeypatch):
-    # every length enumerate (both formats) and the G_n oracle accept caches
-    # blocks of at most 13 values, the larger side of a middle cut of 1..26,
-    # and no more than the 378 ranges inside 1..27; generate flattens the
-    # products enumerate renders, so past n = 22, where its member lists
-    # grow large, enumerate stands for it
+    # enumerate (both formats) and the G_n oracle at every length they
+    # accept leave at most the 378 ranges inside 1..27 cached, none longer
+    # than 13 values, the larger side of a middle cut of 1..26; generate
+    # flattens the products enumerate renders, so past n = 22, where its
+    # member lists grow large, enumerate stands for it
     blocks = fib._fibonacci_block
     blocks.cache_clear()
-    genfun_oracle.cache_clear()
+    genfun.genfun_oracle.cache_clear()
     genfun._fibonacci_fold.cache_clear()
     ranges = set()
 
@@ -217,13 +208,13 @@ def test_block_cache_is_bounded(monkeypatch):
         return blocks(lo, hi)
 
     monkeypatch.setattr(fib, "_fibonacci_block", spy)
-    monkeypatch.setattr(sys, "stdout", _Discard())
-    for cls in CLASS_IDS:
-        for n in range(GENERATE_MAX_N + 1):
-            if n <= 22:
-                generate(cls, n)
-            genfun_oracle(cls, n)
-            for fmt in ("text", "json"):
-                assert main(["enumerate", "--class", cls, "--n", str(n), "--format", fmt]) == 0
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for cls in CLASS_IDS:
+            for n in range(GENERATE_MAX_N + 1):
+                if n <= 22:
+                    generate(cls, n)
+                genfun.genfun_oracle(cls, n)
+                for fmt in ("text", "json"):
+                    assert main(["enumerate", "--class", cls, "--n", str(n), "--format", fmt]) == 0
     assert blocks.cache_info().currsize == len(ranges) <= 378
     assert max(hi - lo + 1 for lo, hi in ranges) <= 13
